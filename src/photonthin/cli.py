@@ -24,15 +24,12 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaln
 
 from .approximation import DEFAULT_N_REPORT, build_report, thinned_reference
 from .errors import PhotonThinError
 from .montecarlo import McConfig, simulate_thinned
 from .pmf import DEFAULT_TAIL_EPS, Pmf, make_pmf, moments, poisson_family
-from .thinning import eta_for_target_lambda
+from .thinning import eta_for_target_lambda, thin_direct
 
 _TABLE1_LAMBDA = 0.1
 _TABLE1_C_TARGETS = (0.45, 0.30, 0.18, 0.11, 0.05, -0.016)
@@ -83,21 +80,20 @@ def table1_inputs() -> list[Pmf]:
 
     Positive rows are two-point tables on {0, 5} with the weight solved
     in closed form; the negative row is a near-deterministic table on
-    {31, 32} solved numerically.
+    {31, 32}, also solved in closed form.
     """
     inputs: list[Pmf] = []
     for c_target in _TABLE1_C_TARGETS[:-1]:
         b = 5
         w = (b - 1) / (b * (2.0 * c_target + 1.0))
         inputs.append(make_pmf([(0, 1.0 - w), (b, w)]))
-
-    c_target = _TABLE1_C_TARGETS[-1]
-
-    def c_of(w: float) -> float:
-        pmf = make_pmf([(31, 1.0 - w), (32, w)])
-        return moments(pmf).c - c_target
-
-    w = brentq(c_of, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+    # {31: 1 - w, 32: w} has c = -(w^2 + 31) / (2 (31 + w)^2), so c = c_target
+    # is (1 + 2c) w^2 + 124 c w + 1922 c + 31 = 0. For c < 0 the root in
+    # (0, 1) is the smaller one, taken in the form -2k / (b - sqrt(disc))
+    # that does not cancel.
+    c = _TABLE1_C_TARGETS[-1]
+    a, b, k = 1.0 + 2.0 * c, 124.0 * c, 1922.0 * c + 31.0
+    w = -2.0 * k / (b - math.sqrt(b * b - 4.0 * a * k))
     inputs.append(make_pmf([(31, 1.0 - w), (32, w)]))
     return inputs
 
@@ -105,30 +101,16 @@ def table1_inputs() -> list[Pmf]:
 def wide_input() -> Pmf:
     """Built-in wide bimodal input with mean 488.5 (within 1e-9).
 
-    An equal mixture of Binomial(600, 0.55) and Binomial(1000, 0.647).
-    Only its mean matters for the emitted datasets; the silhouette is a
-    documented stand-in for an unspecified broad lab source.
+    An equal mixture of Binomial(600, 0.55) and Binomial(1000, 0.647),
+    each built as the thinning of a point mass. Only its mean matters for
+    the emitted datasets; the silhouette is a documented stand-in for an
+    unspecified broad lab source.
     """
-    ks = np.arange(1001, dtype=np.float64)
-    masses = 0.5 * _binomial_masses(600, 0.55, ks) + 0.5 * _binomial_masses(
-        1000, 0.647, ks
-    )
-    return make_pmf(
-        [(int(k), float(m)) for k, m in enumerate(masses) if m > 0.0]
-    )
-
-
-def _binomial_masses(n: int, prob: float, ks: np.ndarray) -> np.ndarray:
-    log_pmf = (
-        gammaln(n + 1.0)
-        - gammaln(ks + 1.0)
-        - gammaln(n - ks + 1.0)
-        + ks * math.log(prob)
-        + (n - ks) * math.log1p(-prob)
-    )
-    out = np.exp(log_pmf)
-    out[ks > n] = 0.0
-    return out
+    low = thin_direct(make_pmf([(600, 1.0)]), 0.55)
+    high = thin_direct(make_pmf([(1000, 1.0)]), 0.647)
+    top = max(low.max_index, high.max_index)
+    masses = [0.5 * low.mass(k) + 0.5 * high.mass(k) for k in range(top + 1)]
+    return make_pmf([(k, m) for k, m in enumerate(masses) if m > 0.0])
 
 
 def heavy_two_point_input() -> Pmf:

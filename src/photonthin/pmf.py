@@ -8,8 +8,9 @@ it explicitly.
 
 All sums that feed invariants (normalization, moments) are accumulated
 with full-precision summation (``math.fsum``) in ascending index order;
-anything involving factorials or binomial coefficients goes through
-log-gamma to avoid overflow at support points in the thousands.
+anything involving factorials or binomial coefficients goes through one
+log-space term helper over a shared log-factorial table, to avoid
+overflow at support points in the thousands.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     DuplicateIndexError,
@@ -37,6 +37,11 @@ _MAX_TAIL_EPS = 1e-6
 
 # Largest exponent math.exp accepts; beyond it results degrade to inf.
 _MAX_LOG = math.log(sys.float_info.max)
+
+# Read-only log(k!) for k < len(_LOG_FACTORIALS). _log_factorials grows it
+# by replacing the array, never writing into it, so a caller in another
+# thread always holds a complete table.
+_LOG_FACTORIALS = np.zeros(1)
 
 
 class CompensatedSum:
@@ -257,45 +262,55 @@ def gf_derivative(p: Pmf, order: int, z: float) -> float:
     """Order-th derivative of the probability generating function at z.
 
     Computes sum over N >= order of N!/(N-order)! * p(N) * z^(N-order).
-    Every term is evaluated in log space (falling factorial via
-    log-gamma differences) and the terms, all nonnegative, are combined
-    by max-shifted exponential summation.
+    Every term is evaluated in log space by :func:`_log_terms` and the
+    terms, all nonnegative, are combined by max-shifted exponential
+    summation; a result past the float range degrades to inf.
     """
     if not isinstance(order, (int, np.integer)) or order < 0:
         raise InvalidParameterError(f"derivative order must be a nonnegative int, got {order!r}")
     if not (0.0 <= z <= 1.0):
         raise InvalidParameterError(f"evaluation point must lie in [0, 1], got {z!r}")
-    if z == 0.0:
-        # Only N == order survives: order! * p(order).
-        mass = p.mass(order)
-        if mass == 0.0:
-            return 0.0
-        return _exp_or_inf(float(gammaln(order + 1.0)) + math.log(mass))
+    log_z = math.log(z) if z > 0.0 else -math.inf
+    return _exp_or_inf(_log_sum_exp(_log_terms(p, order, log_z)))
+
+
+def _log_factorials(k_max: int) -> np.ndarray:
+    """Read-only table of log(k!) for k = 0..k_max at least, from math.lgamma."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if len(table) <= k_max:
+        size = max(k_max + 1, 2 * len(table))
+        table = np.array([math.lgamma(k + 1.0) for k in range(size)])
+        table.setflags(write=False)
+        _LOG_FACTORIALS = table
+    return table
+
+
+def _log_terms(p: Pmf, n: int | np.ndarray, log_z: float) -> np.ndarray:
+    """log(N!/(N-n)! * p(N) * z^(N-n)) for every atom N of ``p``.
+
+    The one place a falling factorial, or with log(eta^n / n!) added a
+    binomial term, is formed. ``n`` is an int or a column of ints (one
+    row each); cells with N < n or zero mass are -inf. z = 0 is passed
+    as ``log_z = -inf`` and leaves only N = n finite.
+    """
     sup, mas = p.arrays()
-    keep = sup >= order
-    if not np.any(keep):
-        return 0.0
-    sup = sup[keep]
-    mas = mas[keep]
-    with np.errstate(divide="ignore"):
-        log_terms = (
-            gammaln(sup + 1.0)
-            - gammaln(sup - order + 1.0)
-            + (sup - order) * math.log(z)
-            + np.log(mas)
-        )
-    return _sum_exp(log_terms)
+    lf = _log_factorials(p.max_index)
+    lag = sup - n
+    valid = lag >= 0
+    lag = np.where(valid, lag, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = np.where(lag > 0, lag * log_z, 0.0)
+        log_terms = lf[sup] - lf[lag] + power + np.log(mas)
+    return np.where(valid, log_terms, -np.inf)
 
 
-def _sum_exp(log_terms: np.ndarray) -> float:
-    """Sum of exp(log_terms) via max shift plus full-precision addition."""
-    shift = float(np.max(log_terms))
+def _log_sum_exp(log_terms: np.ndarray) -> float:
+    """log of the sum of exp(log_terms), via a max shift; -inf when empty."""
+    shift = float(np.max(log_terms, initial=-np.inf))
     if shift == -np.inf:
-        return 0.0
-    total = math.fsum(np.exp(log_terms - shift))
-    if shift + math.log(total) > _MAX_LOG:
-        return math.inf
-    return math.exp(shift) * total
+        return shift
+    return shift + math.log(float(np.exp(log_terms - shift).sum()))
 
 
 def _exp_or_inf(log_value: float) -> float:

@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import photonthin
 from photonthin import moments
 from photonthin.cli import cli, heavy_two_point_input, table1_inputs, wide_input
 
@@ -193,6 +198,14 @@ class TestTable1Command:
             assert abs(d2 - l2c) <= envelope
             assert abs(d3) <= envelope and abs(d4) <= envelope
 
+    def test_negative_row_in_closed_form(self):
+        pmf = table1_inputs()[-1]
+        w = pmf.mass(32)
+        assert 0.0 < w < 1.0
+        assert abs(moments(pmf).c + 0.016) <= 1e-15
+        # The root a bracketing solver found before the closed form.
+        assert abs(w - 0.13372484905589) <= 1e-13
+
     def test_negative_row_flips_delta1_sign(self, runner, tmp_path):
         out = tmp_path / "t1.csv"
         runner.invoke(cli, ["table1", "--out", str(out)])
@@ -246,3 +259,18 @@ class TestCsvRoundTrip:
             for token in line.split(",")[1:]:
                 value = float(token)
                 assert repr(value) == token  # shortest round-trip form
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_out(self):
+        src = str(Path(photonthin.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, photonthin.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "[]"

@@ -21,6 +21,7 @@ from photonthin import (
     poisson_family,
     tv_distance,
 )
+from photonthin.pmf import _log_factorials
 
 # Frozen oracle values (independent routes, see each test).
 EX3_PAIRS = [(1, 0.95), (1001, 0.05)]
@@ -203,6 +204,25 @@ class TestGfDerivative:
     def test_invalid_arguments(self, order, z):
         with pytest.raises(InvalidParameterError):
             gf_derivative(make_pmf([(1, 1.0)]), order, z)
+
+
+class TestLogFactorials:
+    def test_against_high_precision_reference(self):
+        import mpmath as mp
+
+        table = _log_factorials(20_000)
+        assert table[0] == 0.0 and table[1] == 0.0
+        with mp.workdps(30):
+            worst = max(
+                abs(table[k] - float(mp.loggamma(k + 1))) / table[k]
+                for k in range(2, 20_001)
+            )
+        assert worst <= 1e-15
+
+    def test_read_only(self):
+        table = _log_factorials(10)
+        with pytest.raises(ValueError):
+            table[3] = 0.0
 
 
 class TestTvDistance:

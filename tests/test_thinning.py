@@ -14,11 +14,15 @@ from photonthin import (
     poisson_family,
     thin_direct,
     thin_via_gf,
+    thinning,
     tv_distance,
 )
+from photonthin.cli import wide_input
 
 EX3 = [(1, 0.95), (1001, 0.05)]
 EX3_ETA = 0.1 / 51.0
+# ex3 as a lossy decimal table: its masses sum to 1 - 1e-10.
+EX3_LOSSY = [(1, 0.95), (1001, 0.0499999999)]
 
 
 def ex3_q0_closed_form(eta: float) -> float:
@@ -82,13 +86,23 @@ class TestThinDirect:
             twice = thin_direct(thin_direct(p, eta1), eta2)
             assert tv_distance(twice, once) <= 1e-10
 
+    def test_rows_do_not_depend_on_chunk_budget(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            p = random_sparse_pmf(rng, max_index=600, max_atoms=30)
+            wide_chunks = thin_direct(p, 0.6)
+            monkeypatch.setattr(thinning, "_CHUNK_CELLS", 7)
+            assert thin_direct(p, 0.6).entries == wide_chunks.entries
+            monkeypatch.undo()
+
     def test_rejects_bad_eta(self):
         with pytest.raises(InvalidParameterError):
             thin_direct(make_pmf([(1, 1.0)]), 1.2)
 
     def test_against_high_precision_reference(self):
         # Independent oracle: 50-digit arithmetic with exact binomials.
-        mp = pytest.importorskip("mpmath")
+        import mpmath as mp
+
         mp.mp.dps = 50
         rng = np.random.default_rng(2026)
         for _ in range(8):
@@ -113,6 +127,31 @@ class TestThinDirect:
                 ref = float(ref)
                 if ref > 1e-290:
                     assert q.mass(n) == pytest.approx(ref, rel=5e-12)
+
+
+class TestTruncation:
+    def test_lossy_table_stops_at_its_own_total(self):
+        q = thin_direct(make_pmf(EX3_LOSSY), EX3_ETA)
+        assert len(q.entries) <= 20
+        assert q.tail_defect <= 1e-15
+
+    @pytest.mark.parametrize("eta,rows", [(0.1, 128), (1e-3, 13), (2e-4, 9)])
+    def test_wide_input_row_counts(self, eta, rows):
+        assert abs(len(thin_direct(wide_input(), eta).entries) - rows) <= 4
+
+    def test_faint_random_tables_stay_short(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            p = random_sparse_pmf(rng, max_index=2000, max_atoms=40)
+            q = thin_direct(p, eta_for_target_lambda(p, min(0.1, p.mean)))
+            assert len(q.entries) <= 30
+            assert abs(q.total_mass + q.tail_defect - p.total_mass) <= 1e-12
+
+    def test_defect_is_inherited_plus_cut(self):
+        p = poisson_family(5.0, 1e-8)
+        q = thin_direct(p, 0.3)
+        assert p.tail_defect <= q.tail_defect <= p.tail_defect + 1e-14
+        assert q.total_mass + q.tail_defect == pytest.approx(1.0, abs=1e-14)
 
 
 class TestThinViaGf:
@@ -147,6 +186,20 @@ class TestThinViaGf:
             direct = thin_direct(p, eta)
             via_gf = thin_via_gf(p, eta, 40)
             assert tv_distance(via_gf, direct) <= 1e-10
+
+    def test_lossy_table_keeps_slack_out_of_defect(self):
+        q = thin_via_gf(make_pmf(EX3_LOSSY), EX3_ETA, 40)
+        assert q.tail_defect <= 1e-15
+
+    def test_wide_input_to_full_support(self):
+        # The derivative itself overflows here (G^(127)(0.9) is past the
+        # float range); the route must stay in log space until the end.
+        p = wide_input()
+        direct = thin_direct(p, 0.1)
+        via_gf = thin_via_gf(p, 0.1, direct.max_index)
+        assert all(math.isfinite(m) for m in via_gf.masses)
+        assert via_gf.max_index == direct.max_index
+        assert tv_distance(via_gf, direct) <= 1e-10
 
     def test_rejects_negative_n_max(self):
         with pytest.raises(InvalidParameterError):
