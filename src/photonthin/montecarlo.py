@@ -3,7 +3,11 @@
 Simulates the physical process: draw a photon count per pulse, let each
 photon independently survive with probability eta, histogram the
 survivors, and compare the empirical distribution against the analytic
-one.
+one. Each chunk of trials takes one multinomial draw, the number of
+pulses carrying each photon count N, and one vectorised binomial draw,
+the survivors of every pulse in ascending N; numpy's binomial sampler
+is exact for every N and every eta in [0, 1], including N = 0 and
+eta in {0, 1}, so no other sampling path is needed.
 
 Reproducibility contract: results are bit-identical for a fixed
 (seed, trials, chunk_size) regardless of how many workers execute the
@@ -23,13 +27,6 @@ import numpy as np
 from .errors import InvalidParameterError
 from .pmf import Pmf, tv_distance
 from .thinning import AttenuationCoefficient, _as_eta, thin_direct
-
-# Largest photon count sampled by explicit per-photon coin flips; above
-# this, numpy's exact binomial sampler takes over.
-_FLIP_LIMIT = 64
-
-# Row budget for flip matrices, to bound peak memory per chunk.
-_FLIP_CELLS = 2_000_000
 
 _MAX_INPUT_DEFECT = 1e-9
 
@@ -75,10 +72,11 @@ def simulate_thinned(
 ) -> McResult:
     """Monte Carlo estimate of the thinned distribution.
 
-    Per trial: draw the photon count N by inverse CDF over the sparse
-    input table (any residual tail mass of a truncated family input goes
-    to the largest support point), then draw the survivor count as a
-    Binomial(N, eta) sample. Deterministic in cfg; see the module
+    Per chunk of trials: draw how many pulses carry each photon count N
+    with one multinomial draw over the sparse input table (any residual
+    tail mass of a truncated family input goes to the largest support
+    point), then draw every pulse's survivor count as a Binomial(N, eta)
+    sample in one vectorised call. Deterministic in cfg; see the module
     docstring for the substream scheme.
 
     Args:
@@ -97,8 +95,12 @@ def simulate_thinned(
         raise InvalidParameterError("cannot sample from an empty table")
 
     sup, mas = p.arrays()
-    cdf = np.cumsum(mas)
-    cdf[-1] = 1.0  # residual tail mass lands on the largest support point
+    # Increments of the CDF clamped at 1: a lossy table summing to up to
+    # 1 + 1e-9 keeps the law of sampling by inverse CDF, where numpy's
+    # multinomial would reject its raw masses. The multinomial gives the
+    # last atom whatever the others leave, so residual tail mass lands on
+    # the largest support point.
+    pvals = np.diff(np.minimum(np.cumsum(mas), 1.0), prepend=0.0)
 
     sizes = [cfg.chunk_size] * (cfg.trials // cfg.chunk_size)
     if cfg.trials % cfg.chunk_size:
@@ -107,7 +109,7 @@ def simulate_thinned(
     hist_len = int(sup[-1]) + 1
 
     def run_chunk(index: int) -> np.ndarray:
-        return _simulate_chunk(sup, cdf, eta, sizes[index], cfg.seed, index, hist_len)
+        return _simulate_chunk(sup, pvals, eta, sizes[index], cfg.seed, index, hist_len)
 
     if workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -135,7 +137,7 @@ def simulate_thinned(
 
 def _simulate_chunk(
     sup: np.ndarray,
-    cdf: np.ndarray,
+    pvals: np.ndarray,
     eta: float,
     n_trials: int,
     seed: int,
@@ -146,29 +148,8 @@ def _simulate_chunk(
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     rng = np.random.Generator(np.random.Philox(ss))
 
-    u = rng.random(n_trials)
-    slot = np.searchsorted(cdf, u, side="right")
-    slot = np.minimum(slot, len(sup) - 1)
-    drawn = sup[slot]
-
-    counts = np.zeros(hist_len, dtype=np.int64)
-    # Fixed consumption order: ascending distinct N, so the stream layout
-    # never depends on execution details.
-    values, group_sizes = np.unique(drawn, return_counts=True)
-    for n_value, group in zip(values, group_sizes):
-        n_value, group = int(n_value), int(group)
-        if n_value == 0 or eta == 0.0:
-            counts[0] += group
-        elif eta == 1.0:
-            counts[n_value] += group
-        elif n_value <= _FLIP_LIMIT:
-            block = max(1, _FLIP_CELLS // n_value)
-            for start in range(0, group, block):
-                rows = min(block, group - start)
-                flips = rng.random((rows, n_value)) < eta
-                survived = flips.sum(axis=1)
-                counts += np.bincount(survived, minlength=hist_len)
-        else:
-            survived = rng.binomial(n_value, eta, size=group)
-            counts += np.bincount(survived, minlength=hist_len)
-    return counts
+    groups = rng.multinomial(n_trials, pvals)
+    # np.repeat lists the pulses in ascending N, which fixes the order in
+    # which the binomial draw consumes the stream.
+    survived = rng.binomial(np.repeat(sup, groups), eta)
+    return np.bincount(survived, minlength=hist_len)

@@ -123,3 +123,43 @@ class TestSimulateThinned:
         res = simulate_thinned(p, 0.5, McConfig(seed=11, trials=50_000))
         assert res.max_count_observed <= p.max_index
         assert abs(math.fsum(res.empirical.masses) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize(
+        ("entries", "top"),
+        [
+            ([(0, 0.5), (1, 0.5 + 5e-10), (2, 1e-12)], 1),
+            ([(0, 0.3), (5, 0.7 + 9e-10)], 5),
+            ([(1, 0.95), (1001, 0.05 - 9e-10)], 1001),
+        ],
+        ids=["over_three_atoms", "over_two_atoms", "under_ex3"],
+    )
+    def test_lossy_tables_sample_their_inverse_cdf_law(self, entries, top):
+        # Ingestion accepts totals within 1e-9 of one either way; sampling
+        # keeps the inverse-CDF law: an atom past a CDF of 1 is never
+        # drawn, and a shortfall goes to the largest atom.
+        p = make_pmf(entries)
+        eta = 0.3
+        cfg = McConfig(seed=5, trials=200_000, chunk_size=50_000)
+        serial = simulate_thinned(p, eta, cfg, workers=1)
+        threaded = simulate_thinned(p, eta, cfg, workers=2)
+        assert serial.empirical == threaded.empirical
+        assert abs(math.fsum(serial.empirical.masses) - 1.0) <= 1e-9
+        assert serial.max_count_observed <= top
+        sd = math.sqrt(moments(thin_direct(p, eta)).variance / cfg.trials)
+        assert abs(serial.empirical.mean - eta * p.mean) <= 5.0 * sd
+
+    def test_per_outcome_law_across_old_sampler_split(self):
+        # Atoms on both sides of N = 64, where an earlier sampler switched
+        # from per-photon coin flips to numpy's binomial sampler.
+        p = make_pmf([(0, 0.1), (3, 0.3), (64, 0.2), (65, 0.2), (1001, 0.2)])
+        eta = 0.3
+        trials = 1_000_000
+        res = simulate_thinned(p, eta, McConfig(seed=7, trials=trials))
+        checked = 0
+        for n, q in thin_direct(p, eta).entries:
+            if q * trials < 100:
+                continue
+            sigma = math.sqrt(q * (1.0 - q) / trials)
+            assert abs(res.empirical.mass(n) - q) <= 5.0 * sigma, n
+            checked += 1
+        assert checked == 111
