@@ -15,6 +15,7 @@ from photonthin import (
     simulate_thinned,
     thin_direct,
 )
+from photonthin.montecarlo import _simulate_chunk
 
 EX3 = [(1, 0.95), (1001, 0.05)]
 
@@ -31,11 +32,28 @@ class TestMcConfig:
             {"seed": 2**64, "trials": 10},
             {"seed": 0, "trials": 0},
             {"seed": 0, "trials": 10, "chunk_size": 0},
+            {"seed": 1.5, "trials": 10},
+            {"seed": 1.0, "trials": 10},
+            {"seed": 0, "trials": 1000.0},
+            {"seed": 0, "trials": np.float64(1000)},
+            {"seed": 0, "trials": 10, "chunk_size": 2.5e4},
+            {"seed": True, "trials": 10},
+            {"seed": 0, "trials": True},
+            {"seed": 0, "trials": 10, "chunk_size": np.bool_(True)},
+            {"seed": "1", "trials": 10},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidParameterError):
             McConfig(**kwargs)
+
+    def test_numpy_integers_become_int(self):
+        cfg = McConfig(seed=np.uint64(2**64 - 1), trials=np.int64(1000), chunk_size=np.int32(300))
+        assert (cfg.seed, cfg.trials, cfg.chunk_size) == (2**64 - 1, 1000, 300)
+        assert all(type(v) is int for v in (cfg.seed, cfg.trials, cfg.chunk_size))
+        res = simulate_thinned(make_pmf(EX3), 0.3, cfg)
+        assert type(res.trials) is int
+        assert all(type(m) is float for m in res.empirical.masses)
 
 
 class TestSimulateThinned:
@@ -163,3 +181,40 @@ class TestSimulateThinned:
             assert abs(res.empirical.mass(n) - q) <= 5.0 * sigma, n
             checked += 1
         assert checked == 111
+
+
+def _reference_chunk(sup, pvals, eta, n_trials, seed, chunk_index, hist_len):
+    """A chunk's histogram from one array-n binomial call over all pulses."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
+    rng = np.random.Generator(np.random.Philox(ss))
+    groups = rng.multinomial(n_trials, pvals)
+    return np.bincount(rng.binomial(np.repeat(sup, groups), eta), minlength=hist_len)
+
+
+class TestChunkStream:
+    @pytest.mark.parametrize("eta", [0.0, 1e-4, 0.3, 1.0])
+    @pytest.mark.parametrize(
+        "p",
+        [
+            make_pmf(EX3),
+            poisson_family(50.0, 1e-12),
+            make_pmf([(n, 1.0 / 3000) for n in range(3000)]),
+            # Groups of 25k..75k pulses with runs of zero to a few pulses
+            # between them.
+            make_pmf(
+                [(0, 0.1), (2, 1e-7), (3, 0.3 - 1.111e-5), (5, 1e-5), (64, 0.2),
+                 (65, 0.2), (500, 1e-6), (1001, 0.2), (2000, 1e-8)]
+            ),
+        ],
+        ids=["ex3", "poisson50", "uniform3000", "mixed_with_tiny_atoms"],
+    )
+    def test_histograms_equal_one_array_call(self, p, eta):
+        # Splitting the survivor draw into per-atom calls must consume each
+        # substream exactly as one array-n call in ascending N does.
+        sup, pvals = p.arrays()
+        hist_len = int(sup[-1]) + 1
+        seed = 99
+        for index, n_trials in enumerate([250_000, 250_000, 37_123]):
+            got = _simulate_chunk(sup, pvals, eta, n_trials, seed, index, hist_len)
+            want = _reference_chunk(sup, pvals, eta, n_trials, seed, index, hist_len)
+            np.testing.assert_array_equal(got, want)
