@@ -16,9 +16,13 @@ needed.
 Reproducibility contract: results are bit-identical for a fixed
 (seed, trials, chunk_size) regardless of how many workers execute the
 chunks. Each chunk derives its own generator as
-``Philox(SeedSequence(entropy=seed, spawn_key=(chunk_index,)))``, and the
+``PCG64(SeedSequence(entropy=seed, spawn_key=(chunk_index,)))``, and the
 per-chunk histograms merge by exact integer addition, which is order
-independent. Reproducibility across numpy versions is not promised.
+independent. A counter-based generator such as Philox would add nothing:
+its one advantage is cheap jumps to any point of a stream, and no chunk
+ever jumps, since each seeds a stream of its own. PCG64, numpy's default
+bit generator, makes each draw cheaper. Reproducibility across numpy
+versions is not promised.
 """
 
 from __future__ import annotations
@@ -36,11 +40,21 @@ from .thinning import AttenuationCoefficient, _as_eta, thin_direct
 _MAX_INPUT_DEFECT = 1e-9
 
 # Group size from which an atom's pulses get a binomial call of their own.
-# A scalar-n call costs about 2 us plus 20 ns a pulse, an array-n call
-# about 12 us plus 34 ns a pulse. Taking a group out of a run of small
-# ones costs at worst one more call of each kind, about 14 us, and saves
-# about 14 ns a pulse, so 1024 pulses is about break-even at worst.
+# On PCG64 a scalar-n call costs about 1.6 us plus 15 ns a pulse, an
+# array-n call about 12 us plus 25 ns a pulse (N = 1..1001, eta 0.002 to
+# 0.03). Taking a group out of a run of small ones costs at worst one more
+# call of each kind, about 14 us, and saves about 10 ns a pulse, so
+# break-even at worst lies near 1300 pulses; 1024 is close enough, and
+# the threshold leaves the stream unchanged either way.
 _OWN_CALL_PULSES = 1024
+
+
+def _as_int(name: str, value: object) -> int:
+    """value as an int; bools, floats, strings and the like are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    # Numpy integers become int, so that masses stay Python floats.
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -57,11 +71,7 @@ class McConfig:
 
     def __post_init__(self) -> None:
         for name in ("seed", "trials", "chunk_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-            # Numpy integers become int, so that masses stay Python floats.
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if not (0 <= self.seed < 2**64):
             raise InvalidParameterError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
         if self.trials < 1:
@@ -98,16 +108,25 @@ def simulate_thinned(
     with at least 1024 pulses in the chunk, one array-n call per run of
     smaller groups. Splitting the calls leaves the stream as one array-n
     call over all pulses would consume it, so histograms are those of
-    that single call. Deterministic in cfg; see the module docstring for
-    the substream scheme.
+    that single call. Deterministic in cfg: every chunk draws from its
+    own PCG64 substream keyed by (cfg.seed, chunk index); see the module
+    docstring.
 
     Args:
         p: input distribution, tail defect at most 1e-9.
         eta: survival probability.
         cfg: seed, trial count and substream chunking.
-        workers: number of threads executing chunks; does not affect
-            the result.
+        workers: number of threads executing chunks, an integer >= 1;
+            does not affect the result.
+
+    Raises:
+        InvalidParameterError: workers is not an integer >= 1, eta is
+            not in [0, 1], the input's tail defect exceeds 1e-9, or the
+            input table is empty.
     """
+    workers = _as_int("workers", workers)
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers!r}")
     eta = _as_eta(eta)
     if p.tail_defect > _MAX_INPUT_DEFECT:
         raise InvalidParameterError(
@@ -166,9 +185,9 @@ def _simulate_chunk(
     chunk_index: int,
     hist_len: int,
 ) -> np.ndarray:
-    """One chunk's histogram from its own counter-based substream."""
+    """One chunk's histogram from its own seeded substream."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
-    rng = np.random.Generator(np.random.Philox(ss))
+    rng = np.random.Generator(np.random.PCG64(ss))
 
     groups = rng.multinomial(n_trials, pvals)
     hist = np.zeros(hist_len, dtype=np.int64)

@@ -20,6 +20,23 @@ from photonthin.montecarlo import _simulate_chunk
 EX3 = [(1, 0.95), (1001, 0.05)]
 
 
+def _outcomes_within_five_sigma(p, eta, seed, trials=1_000_000):
+    """Checks every outcome expected at least 100 times against thin_direct.
+
+    Each empirical mass must lie within 5 sigma of the analytic one;
+    returns how many outcomes were checked.
+    """
+    res = simulate_thinned(p, eta, McConfig(seed=seed, trials=trials))
+    checked = 0
+    for n, q in thin_direct(p, eta).entries:
+        if q * trials < 100:
+            continue
+        sigma = math.sqrt(q * (1.0 - q) / trials)
+        assert abs(res.empirical.mass(n) - q) <= 5.0 * sigma, n
+        checked += 1
+    return checked
+
+
 class TestMcConfig:
     def test_defaults(self):
         cfg = McConfig(seed=1, trials=10)
@@ -170,23 +187,39 @@ class TestSimulateThinned:
         # Atoms on both sides of N = 64, where an earlier sampler switched
         # from per-photon coin flips to numpy's binomial sampler.
         p = make_pmf([(0, 0.1), (3, 0.3), (64, 0.2), (65, 0.2), (1001, 0.2)])
-        eta = 0.3
-        trials = 1_000_000
-        res = simulate_thinned(p, eta, McConfig(seed=7, trials=trials))
-        checked = 0
-        for n, q in thin_direct(p, eta).entries:
-            if q * trials < 100:
-                continue
-            sigma = math.sqrt(q * (1.0 - q) / trials)
-            assert abs(res.empirical.mass(n) - q) <= 5.0 * sigma, n
-            checked += 1
-        assert checked == 111
+        assert _outcomes_within_five_sigma(p, 0.3, seed=7) == 111
+
+    @pytest.mark.parametrize(
+        ("p", "eta", "seed", "outcomes"),
+        [
+            (poisson_family(50.0, 1e-12), 0.1 / 50.0, 501, 4),
+            (make_pmf(EX3), 0.9, 502, 48),
+        ],
+        ids=["faint_poisson50", "bright_ex3"],
+    )
+    def test_per_outcome_law_faint_and_bright(self, p, eta, seed, outcomes):
+        # A faint eta (lambda = 0.1) and a bright one.
+        assert _outcomes_within_five_sigma(p, eta, seed=seed) == outcomes
+
+    @pytest.mark.parametrize(
+        "workers", [0, -3, True, np.bool_(True), 2.5, 2.0, "2", None]
+    )
+    def test_rejects_bad_workers(self, workers):
+        with pytest.raises(InvalidParameterError):
+            simulate_thinned(make_pmf(EX3), 0.3, McConfig(seed=1, trials=1000), workers=workers)
+
+    def test_numpy_integer_workers(self):
+        p = make_pmf(EX3)
+        cfg = McConfig(seed=3, trials=20_000, chunk_size=5_000)
+        serial = simulate_thinned(p, 0.3, cfg)
+        threaded = simulate_thinned(p, 0.3, cfg, workers=np.int64(2))
+        assert threaded.empirical == serial.empirical
 
 
 def _reference_chunk(sup, pvals, eta, n_trials, seed, chunk_index, hist_len):
     """A chunk's histogram from one array-n binomial call over all pulses."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
-    rng = np.random.Generator(np.random.Philox(ss))
+    rng = np.random.Generator(np.random.PCG64(ss))
     groups = rng.multinomial(n_trials, pvals)
     return np.bincount(rng.binomial(np.repeat(sup, groups), eta), minlength=hist_len)
 
