@@ -10,7 +10,9 @@ Spec file format, exactly one variant per file::
     {"poisson": {"mu": M}}
     {"two_point": {"a": A, "pa": PA, "b": B, "pb": PB}}
 
-plus an optional top-level "tail_eps" for truncated families.
+plus an optional top-level "tail_eps" for truncated families. Indices
+are JSON integers >= 0 or integral floats up to 2**53; every other value
+is a JSON number. Bools and strings are rejected.
 
 Exit codes: 0 success, 2 validation or usage error, 1 internal error.
 """
@@ -50,27 +52,42 @@ def load_source_spec(path: str | Path, tail_eps: float | None = None) -> Pmf:
             "spec must contain exactly one of 'table', 'poisson', 'two_point'"
         )
     if tail_eps is None:
-        tail_eps = float(data.get("tail_eps", DEFAULT_TAIL_EPS))
+        tail_eps = _number("tail_eps", data.get("tail_eps", DEFAULT_TAIL_EPS))
 
     variant = variants[0]
     body = data[variant]
     if variant == "table":
         if not isinstance(body, list):
             raise ValueError("'table' must be a list of [n, p] pairs")
-        return make_pmf([(_index(n), float(m)) for n, m in body])
+        return make_pmf([(_index(n), _number("mass", m)) for n, m in body])
     if variant == "poisson":
-        return poisson_family(float(body["mu"]), tail_eps)
+        return poisson_family(_number("mu", body["mu"]), tail_eps)
     a, b = _index(body["a"]), _index(body["b"])
     if a == b:
         raise ValueError("'two_point' requires two distinct outcomes")
-    return make_pmf([(a, float(body["pa"])), (b, float(body["pb"]))])
+    return make_pmf([(a, _number("pa", body["pa"])), (b, _number("pb", body["pb"]))])
 
 
 def _index(value) -> int:
-    n = float(value)
-    if not n.is_integer() or n < 0:
+    """A JSON integer >= 0, or an integral float up to 2**53, as an int.
+
+    Floats past 2**53 are rejected, since they may be rounded integers.
+    """
+    if isinstance(value, float) and value.is_integer() and abs(value) <= 2**53:
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ValueError(f"outcome index {value!r} is not a nonnegative integer")
-    return int(n)
+    return value
+
+
+def _number(name: str, value) -> float:
+    """A JSON number (not a bool or a string) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} {value!r} is out of range") from None
 
 
 def table1_inputs() -> list[Pmf]:

@@ -4,14 +4,29 @@ Simulates the physical process: draw a photon count per pulse, let each
 photon independently survive with probability eta, histogram the
 survivors, and compare the empirical distribution against the analytic
 one. Each chunk of trials takes one multinomial draw, the number of
-pulses carrying each photon count N, and then binomial draws for the
-survivors of every pulse in ascending N: one scalar-n call for each atom
-carrying at least ``_OWN_CALL_PULSES`` pulses, and one array-n call for
-each run of smaller groups between them. numpy's binomial sampler draws
-pulse by pulse, so this consumes the stream exactly as a single array-n
-call over all pulses would. It is exact for every N and every eta in
-[0, 1], including N = 0 and eta in {0, 1}, so no other sampling path is
-needed.
+pulses carrying each photon count N, and from it the chunk's photon
+count T, the sum over atoms of pulses times N. It then draws the
+survivors on one of two paths:
+
+- Sparse, when the expected survivor count eta * T is at most a quarter
+  of the chunk's pulses, as in the faint regime. Given the group sizes,
+  the T photons survive independently with probability eta, so their
+  number S is Binomial(T, eta) and, given S, the surviving photons are a
+  uniform S-subset of the T photon slots. The chunk draws S, draws the
+  subset (Floyd's algorithm), sorts it and counts how many of each
+  pulse's N slots it holds; pulses it misses count zero.
+- Dense, otherwise: binomial draws for the survivors of every pulse in
+  ascending N, one scalar-n call for each atom carrying at least
+  ``_OWN_CALL_PULSES`` pulses and one array-n call for each run of
+  smaller groups between them. numpy's binomial sampler draws pulse by
+  pulse, so this consumes the stream exactly as a single array-n call
+  over all pulses would.
+
+Both paths are exact for every N and every eta in [0, 1], including
+N = 0, T = 0 and eta in {0, 1}, and neither reads a pmf, so the oracle
+stays independent of the thinning kernel. The sparse path costs a few
+operations per survivor and the dense path a binomial draw per pulse;
+the quarter keeps the sparse path to chunks where it is clearly cheaper.
 
 Reproducibility contract: results are bit-identical for a fixed
 (seed, trials, chunk_size) regardless of how many workers execute the
@@ -21,7 +36,11 @@ per-chunk histograms merge by exact integer addition, which is order
 independent. A counter-based generator such as Philox would add nothing:
 its one advantage is cheap jumps to any point of a stream, and no chunk
 ever jumps, since each seeds a stream of its own. PCG64, numpy's default
-bit generator, makes each draw cheaper. Reproducibility across numpy
+bit generator, makes each draw cheaper. The path a chunk takes depends
+only on its own multinomial draw, so it too is the same for any number
+of workers. Dense chunks draw the same stream as before the sparse path
+existed; sparse chunks do not, so fixed-seed results with faint chunks
+differ from those of earlier versions. Reproducibility across numpy
 versions is not promised.
 """
 
@@ -47,6 +66,18 @@ _MAX_INPUT_DEFECT = 1e-9
 # break-even at worst lies near 1300 pulses; 1024 is close enough, and
 # the threshold leaves the stream unchanged either way.
 _OWN_CALL_PULSES = 1024
+
+# Largest expected survivor count, as a share of the chunk's pulses, at
+# which a chunk draws its survivors as a uniform subset of photon slots
+# instead of pulse by pulse. The subset path costs a few operations per
+# survivor, the pulse-by-pulse path a binomial draw per pulse. On 250k
+# pulses (ex3, Poisson 3 and 50, the wide input, a point mass at 1; 2
+# cores, numpy 2.4) the subset path took 0.3 ms against 4.0-5.3 ms at
+# lambda = 0.01, 1.3-1.4 against 4.5-5.8 ms at 0.1 and 2.7-3.7 against
+# 4.9-7.0 ms at 0.25. The two cross between lambda 0.3 and 1 (ex3
+# first), and at 1 the subset path is 1.4-2.1x slower. Either path gives
+# the exact law, so the share moves only time.
+_SPARSE_SURVIVOR_SHARE = 0.25
 
 
 def _as_int(name: str, value: object) -> int:
@@ -103,14 +134,18 @@ def simulate_thinned(
     Per chunk of trials: draw how many pulses carry each photon count N
     with one multinomial draw over the sparse input table (any residual
     tail mass of a truncated family input goes to the largest support
-    point), then draw every pulse's survivor count as a Binomial(N, eta)
-    sample, pulse by pulse in ascending N: one scalar-n call per atom
-    with at least 1024 pulses in the chunk, one array-n call per run of
-    smaller groups. Splitting the calls leaves the stream as one array-n
-    call over all pulses would consume it, so histograms are those of
-    that single call. Deterministic in cfg: every chunk draws from its
-    own PCG64 substream keyed by (cfg.seed, chunk index); see the module
-    docstring.
+    point), then draw the survivors. When the chunk's expected survivor
+    count, eta times its photon count T, is at most a quarter of its
+    pulses, draw their number S ~ Binomial(T, eta) and the surviving
+    photons as a uniform S-subset of the chunk's photon slots, then count
+    each pulse's survivors; otherwise draw every pulse's survivor count
+    as a Binomial(N, eta) sample, pulse by pulse in ascending N, one
+    scalar-n call per atom with at least 1024 pulses in the chunk and
+    one array-n call per run of smaller groups. Both give the exact law
+    of independent photon survival; see the module docstring.
+    Deterministic in cfg: every chunk draws from its own PCG64 substream
+    keyed by (cfg.seed, chunk index), and the path it takes depends only
+    on that substream.
 
     Args:
         p: input distribution, tail defect at most 1e-9.
@@ -121,8 +156,9 @@ def simulate_thinned(
 
     Raises:
         InvalidParameterError: workers is not an integer >= 1, eta is
-            not in [0, 1], the input's tail defect exceeds 1e-9, or the
-            input table is empty.
+            not in [0, 1], the input's tail defect exceeds 1e-9, the
+            input table is empty, or a chunk's photon count could reach
+            2**63 (min(chunk_size, trials) times the largest N).
     """
     workers = _as_int("workers", workers)
     if workers < 1:
@@ -134,6 +170,13 @@ def simulate_thinned(
         )
     if not p.entries:
         raise InvalidParameterError("cannot sample from an empty table")
+    # A chunk counts its photon slots in int64, which must not wrap.
+    chunk_pulses = min(cfg.chunk_size, cfg.trials)
+    if chunk_pulses * p.max_index >= 2**63:
+        raise InvalidParameterError(
+            f"a chunk of {chunk_pulses} pulses of up to {p.max_index} photons "
+            "could hold 2**63 photons or more"
+        )
 
     sup, mas = p.arrays()
     # Increments of the CDF clamped at 1: a lossy table summing to up to
@@ -190,6 +233,22 @@ def _simulate_chunk(
     rng = np.random.Generator(np.random.PCG64(ss))
 
     groups = rng.multinomial(n_trials, pvals)
+    # simulate_thinned keeps n_trials * max N below 2**63, so the int64
+    # products and their sum cannot wrap.
+    photons = int(groups @ sup)
+    if eta * photons <= _SPARSE_SURVIVOR_SHARE * n_trials:
+        return _sparse_survivors(rng, sup, groups, eta, photons, n_trials, hist_len)
+    return _dense_survivors(rng, sup, groups, eta, hist_len)
+
+
+def _dense_survivors(
+    rng: np.random.Generator,
+    sup: np.ndarray,
+    groups: np.ndarray,
+    eta: float,
+    hist_len: int,
+) -> np.ndarray:
+    """Histogram of per-pulse Binomial(N, eta) draws, pulse by pulse."""
     hist = np.zeros(hist_len, dtype=np.int64)
 
     def add(survived: np.ndarray) -> None:
@@ -210,4 +269,57 @@ def _simulate_chunk(
         if i < sup.size:
             add(rng.binomial(sup[i], eta, size=groups[i]))
         start = i + 1
+    return hist
+
+
+def _sparse_survivors(
+    rng: np.random.Generator,
+    sup: np.ndarray,
+    groups: np.ndarray,
+    eta: float,
+    photons: int,
+    n_trials: int,
+    hist_len: int,
+) -> np.ndarray:
+    """Histogram of survivors drawn as a uniform subset of photon slots.
+
+    The chunk's photons are numbered atom by atom in ascending N and, in
+    each atom, N consecutive slots a pulse. Each survives independently
+    with probability eta, so their number S is Binomial(photons, eta) and,
+    given S, the surviving slots are a uniform S-subset; a pulse's count
+    is how many of them fall in its slots.
+    """
+    hist = np.zeros(hist_len, dtype=np.int64)
+    hist[0] = n_trials
+    survivors = rng.binomial(photons, eta)
+    if survivors:
+        # Floyd's algorithm, or a partial shuffle when survivors exceed a
+        # twentieth of the slots; either way the subset is uniform.
+        pulse = rng.choice(photons, survivors, replace=False, shuffle=False)
+        pulse.sort()
+        widths = groups * sup
+        photon_end = np.cumsum(widths)
+        # How many surviving slots each atom holds; an atom without slots
+        # (N = 0 or no pulses) holds none, so nothing divides by N = 0.
+        held = np.diff(np.searchsorted(pulse, photon_end), prepend=0)
+        # Slot to pulse in place: offset within the atom, over N, plus the
+        # atom's first pulse. Temporaries are kept few, since heap pages
+        # freed by one chunk can go back to the system and fault again in
+        # the next.
+        pulse -= np.repeat(photon_end - widths, held)
+        pulse //= np.repeat(sup, held)
+        pulse += np.repeat(np.cumsum(groups) - groups, held)
+        # Slots are sorted, so each pulse hit owns one run of equal ids.
+        new = np.empty(survivors, dtype=bool)
+        new[0] = True
+        np.not_equal(pulse[1:], pulse[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        hits = starts.size
+        # Run lengths into pulse's first entries, which are read by then.
+        runs = pulse[:hits]
+        np.subtract(starts[1:], starts[:-1], out=runs[:-1])
+        runs[-1] = survivors - starts[-1]
+        b = np.bincount(runs)
+        hist[: b.size] += b
+        hist[0] -= hits
     return hist

@@ -13,7 +13,13 @@ from click.testing import CliRunner
 
 import photonthin
 from photonthin import moments
-from photonthin.cli import cli, heavy_two_point_input, table1_inputs, wide_input
+from photonthin.cli import (
+    cli,
+    heavy_two_point_input,
+    load_source_spec,
+    table1_inputs,
+    wide_input,
+)
 
 EX3_SPEC = {"two_point": {"a": 1, "pa": 0.95, "b": 1001, "pb": 0.05}}
 
@@ -67,6 +73,49 @@ class TestMomentsCommand:
         spec = write_spec(tmp_path, {"table": [[0, 1.0]]})
         result = runner.invoke(cli, ["moments", spec])
         assert result.exit_code == 2
+
+
+class TestSpecNumbers:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"table": [[True, 1.0]]},
+            {"table": [["3", 1.0]]},
+            {"table": [[None, 1.0]]},
+            {"table": [[1.5, 1.0]]},
+            {"table": [[-1, 1.0]]},
+            {"table": [[9007199254740994.0, 1.0]]},
+            {"table": [[1e300, 1.0]]},
+            {"table": [[3, "1.0"]]},
+            {"table": [[3, True]]},
+            {"table": [[3, 10**400]]},
+            {"two_point": {"a": 1, "pa": 0.95, "b": 1001, "pb": "0.05"}},
+            {"two_point": {"a": "1", "pa": 0.95, "b": 1001, "pb": 0.05}},
+            {"poisson": {"mu": "5"}},
+            {"poisson": {"mu": True}},
+            {"poisson": {"mu": 5}, "tail_eps": "1e-12"},
+        ],
+        ids=[
+            "index_true", "index_string", "index_null", "index_fraction",
+            "index_negative", "index_float_past_2_53", "index_1e300",
+            "mass_string", "mass_true", "mass_overflow", "pb_string",
+            "a_string", "mu_string", "mu_true", "tail_eps_string",
+        ],
+    )
+    def test_non_numbers_exit_2(self, runner, tmp_path, payload):
+        spec = write_spec(tmp_path, payload)
+        result = runner.invoke(cli, ["moments", spec])
+        assert result.exit_code == 2, result.output
+
+    def test_integral_float_index(self, runner, tmp_path):
+        as_float = runner.invoke(cli, ["moments", write_spec(tmp_path, {"table": [[3.0, 1.0]]})])
+        as_int = runner.invoke(cli, ["moments", write_spec(tmp_path, {"table": [[3, 1.0]]})])
+        assert as_float.exit_code == 0
+        assert as_float.output == as_int.output
+
+    def test_large_indices_are_exact(self, tmp_path):
+        spec = write_spec(tmp_path, {"table": [[9007199254740993, 0.5], [2.0**53, 0.5]]})
+        assert load_source_spec(spec).support == (2**53, 2**53 + 1)
 
 
 class TestThinCommand:

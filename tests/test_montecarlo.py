@@ -15,9 +15,16 @@ from photonthin import (
     simulate_thinned,
     thin_direct,
 )
-from photonthin.montecarlo import _simulate_chunk
+from photonthin import montecarlo
+from photonthin.montecarlo import _dense_survivors, _simulate_chunk, _sparse_survivors
 
 EX3 = [(1, 0.95), (1001, 0.05)]
+# Groups of 25k..75k pulses with runs of zero to a few pulses between them.
+MIXED_WITH_TINY_ATOMS = [
+    (0, 0.1), (2, 1e-7), (3, 0.3 - 1.111e-5), (5, 1e-5), (64, 0.2),
+    (65, 0.2), (500, 1e-6), (1001, 0.2), (2000, 1e-8),
+]
+UNIFORM_3000 = [(n, 1.0 / 3000) for n in range(3000)]
 
 
 def _outcomes_within_five_sigma(p, eta, seed, trials=1_000_000):
@@ -208,6 +215,19 @@ class TestSimulateThinned:
         with pytest.raises(InvalidParameterError):
             simulate_thinned(make_pmf(EX3), 0.3, McConfig(seed=1, trials=1000), workers=workers)
 
+    def test_rejects_chunks_of_2_63_photons(self):
+        # 2**62 pulses of up to 4 photons: the int64 slot count would wrap.
+        p = make_pmf([(0, 0.5), (4, 0.5)])
+        cfg = McConfig(seed=1, trials=2**62, chunk_size=2**62)
+        with pytest.raises(InvalidParameterError):
+            simulate_thinned(p, 0.1, cfg)
+
+    def test_huge_chunk_size_with_few_trials(self):
+        # The guard bounds the pulses a chunk actually holds.
+        p = make_pmf([(0, 0.5), (4, 0.5)])
+        res = simulate_thinned(p, 0.1, McConfig(seed=1, trials=10, chunk_size=2**62))
+        assert res.trials == 10
+
     def test_numpy_integer_workers(self):
         p = make_pmf(EX3)
         cfg = McConfig(seed=3, trials=20_000, chunk_size=5_000)
@@ -216,11 +236,16 @@ class TestSimulateThinned:
         assert threaded.empirical == serial.empirical
 
 
-def _reference_chunk(sup, pvals, eta, n_trials, seed, chunk_index, hist_len):
-    """A chunk's histogram from one array-n binomial call over all pulses."""
+def _chunk_start(pvals, n_trials, seed, chunk_index):
+    """A chunk's generator after its multinomial draw, and the group sizes."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     rng = np.random.Generator(np.random.PCG64(ss))
-    groups = rng.multinomial(n_trials, pvals)
+    return rng, rng.multinomial(n_trials, pvals)
+
+
+def _reference_chunk(sup, pvals, eta, n_trials, seed, chunk_index, hist_len):
+    """A chunk's histogram from one array-n binomial call over all pulses."""
+    rng, groups = _chunk_start(pvals, n_trials, seed, chunk_index)
     return np.bincount(rng.binomial(np.repeat(sup, groups), eta), minlength=hist_len)
 
 
@@ -231,23 +256,141 @@ class TestChunkStream:
         [
             make_pmf(EX3),
             poisson_family(50.0, 1e-12),
-            make_pmf([(n, 1.0 / 3000) for n in range(3000)]),
-            # Groups of 25k..75k pulses with runs of zero to a few pulses
-            # between them.
-            make_pmf(
-                [(0, 0.1), (2, 1e-7), (3, 0.3 - 1.111e-5), (5, 1e-5), (64, 0.2),
-                 (65, 0.2), (500, 1e-6), (1001, 0.2), (2000, 1e-8)]
-            ),
+            make_pmf(UNIFORM_3000),
+            make_pmf(MIXED_WITH_TINY_ATOMS),
         ],
         ids=["ex3", "poisson50", "uniform3000", "mixed_with_tiny_atoms"],
     )
     def test_histograms_equal_one_array_call(self, p, eta):
-        # Splitting the survivor draw into per-atom calls must consume each
-        # substream exactly as one array-n call in ascending N does.
+        # Splitting the dense survivor draw into per-atom calls must
+        # consume each substream exactly as one array-n call in ascending
+        # N does. The helper is called directly, since chunks at small eta
+        # take the sparse path.
         sup, pvals = p.arrays()
         hist_len = int(sup[-1]) + 1
         seed = 99
         for index, n_trials in enumerate([250_000, 250_000, 37_123]):
-            got = _simulate_chunk(sup, pvals, eta, n_trials, seed, index, hist_len)
+            rng, groups = _chunk_start(pvals, n_trials, seed, index)
+            got = _dense_survivors(rng, sup, groups, eta, hist_len)
             want = _reference_chunk(sup, pvals, eta, n_trials, seed, index, hist_len)
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "p", [make_pmf(EX3), poisson_family(50.0, 1e-12), make_pmf(MIXED_WITH_TINY_ATOMS)],
+        ids=["ex3", "poisson50", "mixed_with_tiny_atoms"],
+    )
+    def test_quarter_rule_edge(self, p):
+        # Just above the rule a chunk takes the dense path and draws as
+        # one array-n call; at the rule it takes the sparse one.
+        sup, pvals = p.arrays()
+        hist_len = int(sup[-1]) + 1
+        n_trials, seed, index = 250_000, 17, 3
+        photons = int(_chunk_start(pvals, n_trials, seed, index)[1] @ sup)
+        limit = 0.25 * n_trials
+        at = limit / photons
+        while at * photons > limit:
+            at = np.nextafter(at, 0.0)
+        above = np.nextafter(at, 1.0)
+        assert above * photons > limit >= at * photons
+
+        got = _simulate_chunk(sup, pvals, above, n_trials, seed, index, hist_len)
+        want = _reference_chunk(sup, pvals, above, n_trials, seed, index, hist_len)
+        np.testing.assert_array_equal(got, want)
+
+        got = _simulate_chunk(sup, pvals, at, n_trials, seed, index, hist_len)
+        rng, groups = _chunk_start(pvals, n_trials, seed, index)
+        want = _sparse_survivors(rng, sup, groups, at, photons, n_trials, hist_len)
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.fixture
+def sparse_only(monkeypatch):
+    """Fails any chunk that takes the dense path."""
+
+    def dense(*args):
+        raise AssertionError("chunk took the dense path")
+
+    monkeypatch.setattr(montecarlo, "_dense_survivors", dense)
+
+
+@pytest.mark.usefixtures("sparse_only")
+class TestSparsePath:
+    @pytest.mark.parametrize(
+        ("entries", "lam", "seed", "outcomes"),
+        [
+            (MIXED_WITH_TINY_ATOMS, 0.1, 601, 5),
+            (UNIFORM_3000, 0.01, 602, 2),
+            # eta = 2/15 puts more than a twentieth of the slots in the
+            # subset, where numpy draws it by a partial shuffle instead
+            # of Floyd's algorithm.
+            ([(1, 0.5), (2, 0.5)], 0.2, 603, 3),
+        ],
+        ids=["mixed_with_tiny_atoms", "uniform3000", "one_or_two"],
+    )
+    def test_per_outcome_law(self, entries, lam, seed, outcomes):
+        p = make_pmf(entries)
+        assert _outcomes_within_five_sigma(p, lam / p.mean, seed=seed) == outcomes
+
+    def test_trials_not_a_multiple_of_chunk_size(self):
+        p = poisson_family(50.0, 1e-12)
+        eta = 0.1 / p.mean
+        cfg = McConfig(seed=604, trials=123_457, chunk_size=50_000)
+        res = simulate_thinned(p, eta, cfg)
+        sup, pvals = p.arrays()
+        hist_len = int(sup[-1]) + 1
+        chunks = [
+            _simulate_chunk(sup, pvals, eta, n, cfg.seed, i, hist_len)
+            for i, n in enumerate([50_000, 50_000, 23_457])
+        ]
+        total = sum(chunks)
+        assert [int(h.sum()) for h in chunks] == [50_000, 50_000, 23_457]
+        want = tuple((n, int(k) / cfg.trials) for n, k in enumerate(total) if k)
+        assert res.empirical.entries == want
+
+    @pytest.mark.parametrize(
+        ("entries", "eta"),
+        [
+            (EX3, 0.1 / 51.0),
+            (MIXED_WITH_TINY_ATOMS, 1e-4),
+            (UNIFORM_3000, 1e-4),
+            ([(1, 0.5), (2, 0.5)], 0.15),
+        ],
+        ids=["ex3", "mixed_with_tiny_atoms", "uniform3000", "one_or_two"],
+    )
+    def test_chunk_sums_to_its_trials(self, entries, eta):
+        sup, pvals = make_pmf(entries).arrays()
+        hist_len = int(sup[-1]) + 1
+        for index, n_trials in enumerate([250_000, 1, 7_919]):
+            hist = _simulate_chunk(sup, pvals, eta, n_trials, 605, index, hist_len)
+            assert hist.shape == (hist_len,)
+            assert hist.min() >= 0
+            assert int(hist.sum()) == n_trials
+
+    def test_no_photons_or_no_survival_count_zero(self):
+        sup, pvals = make_pmf([(0, 1.0)]).arrays()
+        np.testing.assert_array_equal(
+            _simulate_chunk(sup, pvals, 0.2, 1_000, 606, 0, 1), [1_000]
+        )
+        sup, pvals = make_pmf(EX3).arrays()
+        hist = _simulate_chunk(sup, pvals, 0.0, 1_000, 606, 0, 1002)
+        assert hist[0] == 1_000
+        assert not hist[1:].any()
+
+    def test_full_survival_keeps_every_photon(self):
+        # At eta = 1 every slot survives, so each pulse keeps its N, as
+        # the one-array-call reference does; mostly empty pulses keep the
+        # chunk under the quarter rule.
+        sup, pvals = make_pmf([(0, 0.92), (2, 0.06), (3, 1e-6), (5, 0.02 - 1e-6)]).arrays()
+        for index, n_trials in enumerate([250_000, 37_123]):
+            got = _simulate_chunk(sup, pvals, 1.0, n_trials, 608, index, 6)
+            want = _reference_chunk(sup, pvals, 1.0, n_trials, 608, index, 6)
+            np.testing.assert_array_equal(got, want)
+
+    def test_workers_bit_identical(self):
+        p = make_pmf(MIXED_WITH_TINY_ATOMS)
+        cfg = McConfig(seed=607, trials=1_000_003, chunk_size=100_000)
+        eta = 0.1 / p.mean
+        serial = simulate_thinned(p, eta, cfg, workers=1)
+        threaded = simulate_thinned(p, eta, cfg, workers=2)
+        assert serial.empirical == threaded.empirical
+        assert serial.tv_to_analytic == threaded.tv_to_analytic
