@@ -15,11 +15,15 @@ are JSON integers >= 0 or integral floats up to 2**53; every other value
 is a JSON number. Bools and strings are rejected.
 
 Exit codes: 0 success, 2 validation or usage error, 1 internal error.
+A spec that is unreadable or malformed in any shape, a library error, a
+negative --n-report and an output path that cannot be written all exit 2;
+all but the usage errors print one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import sys
@@ -28,7 +32,7 @@ from pathlib import Path
 import click
 
 from .approximation import DEFAULT_N_REPORT, build_report, thinned_reference
-from .errors import PhotonThinError
+from .errors import InvalidParameterError, PhotonThinError
 from .montecarlo import McConfig, simulate_thinned
 from .pmf import DEFAULT_TAIL_EPS, Pmf, make_pmf, moments, poisson_family
 from .thinning import eta_for_target_lambda, thin_direct
@@ -135,25 +139,9 @@ def heavy_two_point_input() -> Pmf:
     return make_pmf([(1, 0.95), (1001, 0.05)])
 
 
-def _resolve_eta(pmf: Pmf, eta: float | None, target_lambda: float | None) -> float:
-    if (eta is None) == (target_lambda is None):
-        _fail("exactly one of --eta / --target-lambda is required")
-    if eta is not None:
-        return eta
-    return eta_for_target_lambda(pmf, target_lambda).eta
-
-
 def _fail(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(2)
-
-
-def _load(spec_path: str, tail_eps: float | None) -> Pmf:
-    try:
-        return load_source_spec(spec_path, tail_eps)
-    except (PhotonThinError, ValueError, KeyError, OSError) as exc:
-        _fail(str(exc))
-        raise AssertionError("unreachable")
 
 
 def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
@@ -164,24 +152,72 @@ def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-_spec_argument = click.argument("spec_path", metavar="SPEC", type=click.Path())
-_eta_option = click.option("--eta", type=float, default=None, help="Survival probability in [0, 1].")
-_target_option = click.option(
-    "--target-lambda", type=float, default=None, help="Desired post-attenuation mean."
-)
-_tail_eps_option = click.option(
-    "--tail-eps",
-    type=float,
-    default=None,
-    help=f"Tail mass allowed when truncating families (default {DEFAULT_TAIL_EPS}).",
-)
+def _pmf_input(command):
+    """Add SPEC and --tail-eps to ``command`` and pass it the loaded Pmf.
+
+    A spec that does not parse, whatever its shape, is an
+    InvalidParameterError, so the group reports it like any other.
+    """
+
+    @click.argument("spec_path", metavar="SPEC", type=click.Path())
+    @click.option(
+        "--tail-eps",
+        type=float,
+        default=None,
+        help=f"Tail mass allowed when truncating families (default {DEFAULT_TAIL_EPS}).",
+    )
+    @functools.wraps(command)
+    def load(spec_path: str, tail_eps: float | None, **kwargs):
+        try:
+            pmf = load_source_spec(spec_path, tail_eps)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidParameterError(str(exc)) from exc
+        return command(pmf, **kwargs)
+
+    return load
+
+
+def _eta_input(command):
+    """:func:`_pmf_input` plus --eta and --target-lambda, exactly one of
+    which is given; pass ``command`` the Pmf and the resolved eta."""
+
+    @_pmf_input
+    @click.option("--eta", type=float, default=None, help="Survival probability in [0, 1].")
+    @click.option(
+        "--target-lambda", type=float, default=None, help="Desired post-attenuation mean."
+    )
+    @functools.wraps(command)
+    def resolve(pmf: Pmf, eta: float | None, target_lambda: float | None, **kwargs):
+        if (eta is None) == (target_lambda is None):
+            raise InvalidParameterError("exactly one of --eta / --target-lambda is required")
+        if eta is None:
+            eta = eta_for_target_lambda(pmf, target_lambda).eta
+        return command(pmf, eta, **kwargs)
+
+    return resolve
+
+
 _n_report_option = click.option(
-    "--n-report", type=int, default=DEFAULT_N_REPORT, show_default=True,
+    "--n-report", type=click.IntRange(0), default=DEFAULT_N_REPORT, show_default=True,
     help="Largest outcome included in per-outcome series.",
 )
 
 
-@click.group()
+class _Cli(click.Group):
+    """The one error boundary: a library error or a file that cannot be
+    read or written ends the command with one ``error:`` line on stderr
+    and exit 2. A broken pipe stays with click."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise
+        except (PhotonThinError, OSError) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Cli)
 def cli() -> None:
     """Photon-count statistics under optical attenuation.
 
@@ -192,15 +228,10 @@ def cli() -> None:
 
 
 @cli.command("moments")
-@_spec_argument
-@_tail_eps_option
-def cmd_moments(spec_path: str, tail_eps: float | None) -> None:
+@_pmf_input
+def cmd_moments(pmf: Pmf) -> None:
     """Print mean, variance, third factorial moment, c and d as JSON."""
-    pmf = _load(spec_path, tail_eps)
-    try:
-        ms = moments(pmf)
-    except PhotonThinError as exc:
-        _fail(str(exc))
+    ms = moments(pmf)
     click.echo(
         json.dumps(
             {"mean": ms.mean, "var": ms.variance, "m3": ms.m3, "c": ms.c, "d": ms.d}
@@ -209,59 +240,30 @@ def cmd_moments(spec_path: str, tail_eps: float | None) -> None:
 
 
 @cli.command("thin")
-@_spec_argument
-@_eta_option
-@_target_option
+@_eta_input
 @_n_report_option
-@_tail_eps_option
 @click.option("--out", required=True, type=click.Path(), help="Output CSV path.")
-def cmd_thin(
-    spec_path: str,
-    eta: float | None,
-    target_lambda: float | None,
-    n_report: int,
-    tail_eps: float | None,
-    out: str,
-) -> None:
+def cmd_thin(pmf: Pmf, eta: float, n_report: int, out: str) -> None:
     """Write the thinned vs reference-Poisson table as CSV.
 
     Columns: n, p_eta, p_poisson, delta for n = 0..n-report. Prints the
     resolved lambda and eta as JSON on stdout.
     """
-    pmf = _load(spec_path, tail_eps)
-    try:
-        eta_value = _resolve_eta(pmf, eta, target_lambda)
-        q, ref, lam = thinned_reference(pmf, eta_value)
-    except PhotonThinError as exc:
-        _fail(str(exc))
+    q, ref, lam = thinned_reference(pmf, eta)
     rows = [
         [n, q.mass(n), ref.mass(n), q.mass(n) - ref.mass(n)]
         for n in range(n_report + 1)
     ]
     _write_csv(out, ["n", "p_eta", "p_poisson", "delta"], rows)
-    click.echo(json.dumps({"lambda": lam, "eta": eta_value}))
+    click.echo(json.dumps({"lambda": lam, "eta": eta}))
 
 
 @cli.command("report")
-@_spec_argument
-@_eta_option
-@_target_option
+@_eta_input
 @_n_report_option
-@_tail_eps_option
-def cmd_report(
-    spec_path: str,
-    eta: float | None,
-    target_lambda: float | None,
-    n_report: int,
-    tail_eps: float | None,
-) -> None:
+def cmd_report(pmf: Pmf, eta: float, n_report: int) -> None:
     """Print the full approximation report as JSON."""
-    pmf = _load(spec_path, tail_eps)
-    try:
-        eta_value = _resolve_eta(pmf, eta, target_lambda)
-        report = build_report(pmf, eta_value, n_report)
-    except PhotonThinError as exc:
-        _fail(str(exc))
+    report = build_report(pmf, eta, n_report)
     click.echo(
         json.dumps(
             {
@@ -279,27 +281,12 @@ def cmd_report(
 
 
 @cli.command("mc")
-@_spec_argument
-@_eta_option
-@_target_option
-@_tail_eps_option
+@_eta_input
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=42, show_default=True)
 @click.option("--trials", type=click.IntRange(1), default=1_000_000, show_default=True)
-def cmd_mc(
-    spec_path: str,
-    eta: float | None,
-    target_lambda: float | None,
-    tail_eps: float | None,
-    seed: int,
-    trials: int,
-) -> None:
+def cmd_mc(pmf: Pmf, eta: float, seed: int, trials: int) -> None:
     """Simulate pulses through the attenuator and print diagnostics."""
-    pmf = _load(spec_path, tail_eps)
-    try:
-        eta_value = _resolve_eta(pmf, eta, target_lambda)
-        result = simulate_thinned(pmf, eta_value, McConfig(seed=seed, trials=trials))
-    except PhotonThinError as exc:
-        _fail(str(exc))
+    result = simulate_thinned(pmf, eta, McConfig(seed=seed, trials=trials))
     click.echo(
         json.dumps(
             {
@@ -307,7 +294,7 @@ def cmd_mc(
                 "seed": result.seed,
                 "tv_to_analytic": result.tv_to_analytic,
                 "empirical_mean": result.empirical.mean,
-                "analytic_mean": eta_value * pmf.mean,
+                "analytic_mean": eta * pmf.mean,
             }
         )
     )

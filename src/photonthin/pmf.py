@@ -244,15 +244,26 @@ def moments(p: Pmf) -> MomentSummary:
     accumulation; support up to 1e4 with n^3-sized terms would lose
     digits under naive addition.
 
+    The variance is E[n^2] - E[n]^2 over the masses as given, the form
+    whose c is the lambda^2 coefficient of delta0 when the masses sum to
+    M != 1. It is formed in two passes over the exact integer offsets
+    y = n - n0 from the first atom, as sum (y - s)^2 m with s = sum y m,
+    plus (1 - M) (s^2 + 2 n0 s + n0^2 M) for the missing mass, since
+    E[n^2] - E[n]^2 itself cancels to nothing for indices near 2**53.
+    Only the missing-mass term carries the rounding of M.
+
     Raises:
         ZeroMeanError: if the mean is zero (c and d are undefined).
     """
-    mean = math.fsum(n * m for n, m in p.entries)
+    mean = p.mean
     if mean <= 0.0:
         raise ZeroMeanError("distribution has zero mean; c and d are undefined")
-    ex2 = math.fsum((n * n) * m for n, m in p.entries)
-    variance = ex2 - mean * mean
-    m3 = math.fsum((n * (n - 1) * (n - 2)) * m for n, m in p.entries)
+    n0 = p.entries[0][0]
+    shift = math.fsum([(n - n0) * m for n, m in p.entries])
+    spread = math.fsum([(dev := n - n0 - shift) * dev * m for n, m in p.entries])
+    total, x0 = p.total_mass, float(n0)
+    variance = spread + (1.0 - total) * (shift * (shift + 2.0 * x0) + x0 * x0 * total)
+    m3 = math.fsum([(n * (n - 1) * (n - 2)) * m for n, m in p.entries])
     c = (variance - mean) / (2.0 * mean * mean)
     d = m3 / mean**3
     return MomentSummary(mean=mean, variance=variance, m3=m3, c=c, d=d)

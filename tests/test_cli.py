@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: spec parsing, outputs, exit codes."""
 
 import csv
+import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +25,14 @@ from photonthin.cli import (
 
 EX3_SPEC = {"two_point": {"a": 1, "pa": 0.95, "b": 1001, "pb": 0.05}}
 
+# Every command that takes SPEC, with the arguments it needs besides it.
+SPEC_COMMANDS = {
+    "moments": [],
+    "thin": ["--eta", "0.1", "--out", "OUT"],
+    "report": ["--eta", "0.1"],
+    "mc": ["--eta", "0.1", "--trials", "1000"],
+}
+
 
 @pytest.fixture
 def runner():
@@ -33,6 +43,19 @@ def write_spec(tmp_path, payload, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def command_line(tmp_path, name, spec, args):
+    """``name SPEC args``, with OUT standing for tmp_path / "thin.csv"."""
+    return [name, spec, *(a.replace("OUT", str(tmp_path / "thin.csv")) for a in args)]
+
+
+def assert_one_error_line(result):
+    """Exit 2 with a single ``error:`` line on stderr and no traceback."""
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
 
 
 def read_csv(path):
@@ -73,6 +96,20 @@ class TestMomentsCommand:
         spec = write_spec(tmp_path, {"table": [[0, 1.0]]})
         result = runner.invoke(cli, ["moments", spec])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "table, var",
+        [
+            ([[9007199254740993, 1.0]], 0.0),
+            ([[9007199254740992, 0.5], [9007199254740993, 0.5]], 0.25),
+            ([[10**9, 0.5], [10**9 + 1, 0.5]], 0.25),
+        ],
+        ids=["point_at_2_53_plus_1", "pair_at_2_53", "pair_at_1e9"],
+    )
+    def test_variance_of_large_indices(self, runner, tmp_path, table, var):
+        result = runner.invoke(cli, ["moments", write_spec(tmp_path, {"table": table})])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["var"] == var
 
 
 class TestSpecNumbers:
@@ -295,6 +332,94 @@ class TestFiguresCommand:
         assert abs(wide.mean - 488.5) <= 1e-9
         heavy = heavy_two_point_input()
         assert heavy.support == (1, 1001)
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("command", sorted(SPEC_COMMANDS))
+    @pytest.mark.parametrize(
+        "payload",
+        [{"poisson": 5}, {"table": [1]}, {"two_point": []}, None],
+        ids=["poisson_number", "table_of_numbers", "two_point_list", "missing_file"],
+    )
+    def test_malformed_spec(self, runner, tmp_path, command, payload):
+        spec = str(tmp_path / "absent.json") if payload is None else write_spec(tmp_path, payload)
+        assert_one_error_line(
+            runner.invoke(cli, command_line(tmp_path, command, spec, SPEC_COMMANDS[command]))
+        )
+        assert not (tmp_path / "thin.csv").exists()
+
+    @pytest.mark.parametrize(
+        "payload, name, args",
+        [
+            ({"table": [[0, 1.0]]}, "moments", []),
+            (EX3_SPEC, "thin", ["--target-lambda", "1000", "--out", "OUT"]),
+            (EX3_SPEC, "thin", ["--out", "OUT"]),
+            (EX3_SPEC, "report", ["--eta", "1.5"]),
+            (EX3_SPEC, "mc", ["--eta", "-0.5"]),
+        ],
+        ids=["moments_zero_mean", "thin_target_above_mean", "thin_no_eta", "report_eta_above_1",
+             "mc_negative_eta"],
+    )
+    def test_library_error(self, runner, tmp_path, payload, name, args):
+        spec = write_spec(tmp_path, payload)
+        assert_one_error_line(runner.invoke(cli, command_line(tmp_path, name, spec, args)))
+        assert not (tmp_path / "thin.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["thin", "SPEC", "--eta", "0.1", "--out", "BLOCKER/thin.csv"],
+            ["table1", "--out", "BLOCKER/table1.csv"],
+            ["figures", "--out-dir", "BLOCKER/figs"],
+        ],
+        ids=["thin", "table1", "figures"],
+    )
+    def test_unwritable_output(self, runner, tmp_path, args):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory")
+        spec = write_spec(tmp_path, EX3_SPEC)
+        args = [a.replace("SPEC", spec).replace("BLOCKER", str(blocker)) for a in args]
+        assert_one_error_line(runner.invoke(cli, args))
+
+    def test_broken_pipe_stays_with_click(self, runner, tmp_path, monkeypatch):
+        def closed_reader(pmf):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(photonthin.cli, "moments", closed_reader)
+        result = runner.invoke(cli, ["moments", write_spec(tmp_path, EX3_SPEC)])
+        assert result.exit_code == 1
+        assert "error:" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["thin", "report"])
+    def test_negative_n_report(self, runner, tmp_path, command):
+        spec = write_spec(tmp_path, EX3_SPEC)
+        args = [*SPEC_COMMANDS[command], "--n-report", "-1"]
+        result = runner.invoke(cli, command_line(tmp_path, command, spec, args))
+        assert result.exit_code == 2
+        assert "Invalid value for '--n-report'" in result.stderr
+        assert not (tmp_path / "thin.csv").exists()
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("moments", ["--tail-eps"]),
+            ("thin", ["--tail-eps", "--eta", "--target-lambda", "--n-report", "--out"]),
+            ("report", ["--tail-eps", "--eta", "--target-lambda", "--n-report"]),
+            ("mc", ["--tail-eps", "--eta", "--target-lambda", "--seed", "--trials"]),
+            ("table1", ["--out"]),
+            ("figures", ["--out-dir"]),
+        ],
+    )
+    def test_lists_exactly_the_command_options(self, runner, command, options):
+        result = runner.invoke(cli, [command, "--help"])
+        assert result.exit_code == 0
+        assert sorted(re.findall(r"^\s+(--[a-z-]+)", result.output, flags=re.M)) == sorted(
+            [*options, "--help"]
+        )
+        usage = result.output.splitlines()[0]
+        assert usage.endswith(" SPEC") == (command in SPEC_COMMANDS)
 
 
 class TestCsvRoundTrip:

@@ -1,6 +1,7 @@
 """Core distribution type: construction, families, moments, GF, distance."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -150,6 +151,37 @@ class TestMoments:
     def test_zero_mean_rejected(self):
         with pytest.raises(ZeroMeanError):
             moments(make_pmf([(0, 1.0)]))
+
+    @pytest.mark.parametrize(
+        "pairs, variance",
+        [
+            ([(2**53 + 1, 1.0)], 0.0),
+            ([(2**53, 0.5), (2**53 + 1, 0.5)], 0.25),
+            ([(10**9, 0.5), (10**9 + 1, 0.5)], 0.25),
+        ],
+        ids=["point_at_2_53_plus_1", "pair_at_2_53", "pair_at_1e9"],
+    )
+    def test_variance_of_large_indices(self, pairs, variance):
+        assert moments(make_pmf(pairs)).variance == variance
+
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            make_pmf([(10**6, 0.75 - 2.0**-30), (10**6 + 1, 0.25)]),
+            make_pmf([(3, 0.1234567891), (40, 0.3456789012), (299, 0.5308643096)]),
+            poisson_family(50.0, 1e-12),
+        ],
+        ids=["lossy_pair_at_1e6", "lossy_table", "poisson_50_with_tail"],
+    )
+    def test_variance_of_masses_as_given(self, pmf):
+        # E[n^2] - E[n]^2 over the stored masses, whose total is not 1. The
+        # pair's total 1 - 2**-30 is exact in floating point, so its missing
+        # mass term, 931.3 of a variance of 931.5, carries no rounding.
+        masses = [Fraction(m) for m in pmf.masses]
+        e1 = sum(n * m for n, m in zip(pmf.support, masses))
+        e2 = sum(n * n * m for n, m in zip(pmf.support, masses))
+        assert sum(masses) != 1
+        assert moments(pmf).variance == pytest.approx(float(e2 - e1 * e1), rel=1e-14)
 
     def test_c_floor_and_m3_nonnegative(self):
         rng = np.random.default_rng(101)
