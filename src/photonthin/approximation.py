@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AllVacuumError, DegenerateLambdaError, InvalidParameterError
-from .pmf import Pmf, moments, poisson_family
+from .pmf import _MAX_KERNEL_N, Pmf, _as_int, moments, poisson_family
 from .thinning import AttenuationCoefficient, _as_eta, thin_direct
 
 _REFERENCE_TAIL_EPS = 1e-14
@@ -71,11 +71,13 @@ def build_report(
     """Full approximation analysis of thinning ``p`` by ``eta``.
 
     Raises:
+        InvalidParameterError: if n_report is not an int in [0, 2**20].
         ZeroMeanError: if the input mean is zero.
         DegenerateLambdaError: if eta * mean is zero.
     """
-    if n_report < 0:
-        raise InvalidParameterError(f"n_report must be >= 0, got {n_report!r}")
+    n_report = _as_int("n_report", n_report)
+    if not 0 <= n_report <= _MAX_KERNEL_N:
+        raise InvalidParameterError(f"n_report must lie in [0, {_MAX_KERNEL_N}], got {n_report!r}")
     ms = moments(p)
     q, ref, lam = thinned_reference(p, eta)
 

@@ -10,9 +10,11 @@ Spec file format, exactly one variant per file::
     {"poisson": {"mu": M}}
     {"two_point": {"a": A, "pa": PA, "b": B, "pb": PB}}
 
-plus an optional top-level "tail_eps" for truncated families. Indices
-are JSON integers >= 0 or integral floats up to 2**53; every other value
-is a JSON number. Bools and strings are rejected.
+plus an optional top-level "tail_eps" for truncated families. The rules
+for indices and numbers are those of ``pmf.make_pmf`` and
+``pmf.poisson_family``, which get the values as parsed: indices are JSON
+integers >= 0 or integral floats up to 2**53, every other value is a
+JSON number, and bools and strings are rejected.
 
 Exit codes: 0 success, 2 validation or usage error, 1 internal error.
 A spec that is unreadable or malformed in any shape, a library error, a
@@ -34,7 +36,7 @@ import click
 from .approximation import DEFAULT_N_REPORT, build_report, thinned_reference
 from .errors import InvalidParameterError, PhotonThinError
 from .montecarlo import McConfig, simulate_thinned
-from .pmf import DEFAULT_TAIL_EPS, Pmf, make_pmf, moments, poisson_family
+from .pmf import _MAX_KERNEL_N, DEFAULT_TAIL_EPS, Pmf, _as_real, make_pmf, moments, poisson_family
 from .thinning import eta_for_target_lambda, thin_direct
 
 _TABLE1_LAMBDA = 0.1
@@ -56,42 +58,18 @@ def load_source_spec(path: str | Path, tail_eps: float | None = None) -> Pmf:
             "spec must contain exactly one of 'table', 'poisson', 'two_point'"
         )
     if tail_eps is None:
-        tail_eps = _number("tail_eps", data.get("tail_eps", DEFAULT_TAIL_EPS))
+        # Checked here too, since only the poisson variant reads it.
+        tail_eps = _as_real("tail_eps", data.get("tail_eps", DEFAULT_TAIL_EPS))
 
     variant = variants[0]
     body = data[variant]
     if variant == "table":
         if not isinstance(body, list):
             raise ValueError("'table' must be a list of [n, p] pairs")
-        return make_pmf([(_index(n), _number("mass", m)) for n, m in body])
+        return make_pmf(body)
     if variant == "poisson":
-        return poisson_family(_number("mu", body["mu"]), tail_eps)
-    a, b = _index(body["a"]), _index(body["b"])
-    if a == b:
-        raise ValueError("'two_point' requires two distinct outcomes")
-    return make_pmf([(a, _number("pa", body["pa"])), (b, _number("pb", body["pb"]))])
-
-
-def _index(value) -> int:
-    """A JSON integer >= 0, or an integral float up to 2**53, as an int.
-
-    Floats past 2**53 are rejected, since they may be rounded integers.
-    """
-    if isinstance(value, float) and value.is_integer() and abs(value) <= 2**53:
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"outcome index {value!r} is not a nonnegative integer")
-    return value
-
-
-def _number(name: str, value) -> float:
-    """A JSON number (not a bool or a string) as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} {value!r} is not a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} {value!r} is out of range") from None
+        return poisson_family(body["mu"], tail_eps)
+    return make_pmf([(body["a"], body["pa"]), (body["b"], body["pb"])])
 
 
 def table1_inputs() -> list[Pmf]:
@@ -198,7 +176,8 @@ def _eta_input(command):
 
 
 _n_report_option = click.option(
-    "--n-report", type=click.IntRange(0), default=DEFAULT_N_REPORT, show_default=True,
+    "--n-report", type=click.IntRange(0, _MAX_KERNEL_N), default=DEFAULT_N_REPORT,
+    show_default=True,
     help="Largest outcome included in per-outcome series.",
 )
 

@@ -46,14 +46,13 @@ versions is not promised.
 
 from __future__ import annotations
 
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .pmf import Pmf, tv_distance
+from .pmf import _MAX_KERNEL_N, Pmf, _as_int, tv_distance
 from .thinning import AttenuationCoefficient, _as_eta, thin_direct
 
 _MAX_INPUT_DEFECT = 1e-9
@@ -78,14 +77,6 @@ _OWN_CALL_PULSES = 1024
 # first), and at 1 the subset path is 1.4-2.1x slower. Either path gives
 # the exact law, so the share moves only time.
 _SPARSE_SURVIVOR_SHARE = 0.25
-
-
-def _as_int(name: str, value: object) -> int:
-    """value as an int; bools, floats, strings and the like are rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    # Numpy integers become int, so that masses stay Python floats.
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -157,8 +148,9 @@ def simulate_thinned(
     Raises:
         InvalidParameterError: workers is not an integer >= 1, eta is
             not in [0, 1], the input's tail defect exceeds 1e-9, the
-            input table is empty, or a chunk's photon count could reach
-            2**63 (min(chunk_size, trials) times the largest N).
+            input table is empty or reaches past the kernel bound 2**20,
+            or a chunk's photon count could reach 2**63
+            (min(chunk_size, trials) times the largest N).
     """
     workers = _as_int("workers", workers)
     if workers < 1:
@@ -170,6 +162,8 @@ def simulate_thinned(
         )
     if not p.entries:
         raise InvalidParameterError("cannot sample from an empty table")
+    if p.max_index > _MAX_KERNEL_N:
+        raise InvalidParameterError(f"outcome index {p.max_index} exceeds {_MAX_KERNEL_N}")
     # A chunk counts its photon slots in int64, which must not wrap.
     chunk_pulses = min(cfg.chunk_size, cfg.trials)
     if chunk_pulses * p.max_index >= 2**63:

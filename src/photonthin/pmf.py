@@ -16,6 +16,7 @@ overflow at support points in the thousands.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,10 +39,38 @@ _MAX_TAIL_EPS = 1e-6
 # Largest exponent math.exp accepts; beyond it results degrade to inf.
 _MAX_LOG = math.log(sys.float_info.max)
 
+# Largest outcome index the kernels take: thinning, reports, Poisson
+# references and Monte Carlo. Its log(k!) table is 8 MB and takes about
+# 0.3 s to build; any Pmf index up to 2**63 - 1 is fine elsewhere.
+_MAX_KERNEL_N = 2**20
+
 # Read-only log(k!) for k < len(_LOG_FACTORIALS). _log_factorials grows it
 # by replacing the array, never writing into it, so a caller in another
 # thread always holds a complete table.
 _LOG_FACTORIALS = np.zeros(1)
+
+
+def _as_int(name: str, value: object) -> int:
+    """value as an int; bools, floats, strings and the like are rejected."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    # Numpy integers become int, so that masses stay Python floats.
+    return int(value)
+
+
+def _as_real(name: str, value: object) -> float:
+    """value as a float; bools, strings, None and ints past the float range
+    are rejected. Exact types are tested first, since every report runs it."""
+    if type(value) is float:
+        return value
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise InvalidParameterError(f"{name} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidParameterError(f"{name} {value!r} is out of range") from None
 
 
 class CompensatedSum:
@@ -77,6 +106,7 @@ class AttenuationCoefficient:
     eta: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "eta", _as_real("attenuation coefficient", self.eta))
         if not (0.0 <= self.eta <= 1.0):
             raise InvalidParameterError(
                 f"attenuation coefficient must lie in [0, 1], got {self.eta!r}"
@@ -114,6 +144,8 @@ class Pmf:
             if n < prev:
                 raise InvalidParameterError("entries must be in ascending index order")
             prev = n
+        if prev >= 2**63:
+            raise InvalidParameterError(f"outcome index {prev} does not fit in int64")
         if self.tail_defect < 0.0 or not math.isfinite(self.tail_defect):
             raise InvalidParameterError(f"tail defect {self.tail_defect!r} must be >= 0")
         total = math.fsum(m for _, m in self.entries) + self.tail_defect
@@ -183,17 +215,18 @@ class MomentSummary:
 def make_pmf(pairs: list[tuple[int, float]] | tuple[tuple[int, float], ...]) -> Pmf:
     """Validate and normalize a table of (index, mass) pairs into a Pmf.
 
-    Input order is irrelevant; entries are sorted by index. Raises
+    Input order is irrelevant; entries are sorted by index. An index is an
+    int, a numpy int or an integral float up to 2**53, never a bool; a mass
+    is any real number but a bool. Raises :class:`InvalidParameterError`,
     :class:`NegativeMassError`, :class:`DuplicateIndexError` or
     :class:`NotNormalizedError` on bad data.
     """
     cleaned: list[tuple[int, float]] = []
     for n, mass in pairs:
-        if isinstance(n, float):
-            if not n.is_integer():
-                raise InvalidParameterError(f"outcome index {n!r} is not an integer")
+        # Floats past 2**53 are rejected, since they may be rounded integers.
+        if isinstance(n, float) and n.is_integer() and n <= 2**53:
             n = int(n)
-        cleaned.append((int(n), float(mass)))
+        cleaned.append((_as_int("outcome index", n), _as_real("mass", mass)))
     cleaned.sort(key=lambda pair: pair[0])
     return Pmf(tuple(cleaned), tail_defect=0.0)
 
@@ -210,8 +243,10 @@ def poisson_family(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
         tail_eps: largest acceptable discarded tail mass, in (0, 1e-6].
 
     Raises:
-        InvalidParameterError: if ``mu`` or ``tail_eps`` is out of range.
+        InvalidParameterError: if ``mu`` or ``tail_eps`` is out of range,
+            or the table would reach past the kernel bound.
     """
+    mu, tail_eps = _as_real("poisson mean", mu), _as_real("tail_eps", tail_eps)
     if not (math.isfinite(mu) and mu > 0.0):
         raise InvalidParameterError(f"poisson mean must be positive, got {mu!r}")
     if not (0.0 < tail_eps <= _MAX_TAIL_EPS):
@@ -220,6 +255,8 @@ def poisson_family(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
         )
     log_mu = math.log(mu)
     hard_cap = int(mu + 20.0 * math.sqrt(mu + 1.0) + 400.0)
+    if hard_cap > _MAX_KERNEL_N:
+        raise InvalidParameterError(f"poisson mean {mu!r} reaches past index {_MAX_KERNEL_N}")
     acc = CompensatedSum()
     masses: list[float] = []
     for n in range(hard_cap + 1):
@@ -277,8 +314,9 @@ def gf_derivative(p: Pmf, order: int, z: float) -> float:
     terms, all nonnegative, are combined by max-shifted exponential
     summation; a result past the float range degrades to inf.
     """
-    if not isinstance(order, (int, np.integer)) or order < 0:
-        raise InvalidParameterError(f"derivative order must be a nonnegative int, got {order!r}")
+    order, z = _as_int("derivative order", order), _as_real("evaluation point", z)
+    if not 0 <= order < 2**63:
+        raise InvalidParameterError(f"derivative order must lie in [0, 2**63), got {order!r}")
     if not (0.0 <= z <= 1.0):
         raise InvalidParameterError(f"evaluation point must lie in [0, 1], got {z!r}")
     log_z = math.log(z) if z > 0.0 else -math.inf
@@ -286,11 +324,13 @@ def gf_derivative(p: Pmf, order: int, z: float) -> float:
 
 
 def _log_factorials(k_max: int) -> np.ndarray:
-    """Read-only table of log(k!) for k = 0..k_max at least, from math.lgamma."""
+    """Read-only log(k!) from math.lgamma for k = 0..k_max at least; k_max <= _MAX_KERNEL_N."""
     global _LOG_FACTORIALS
     table = _LOG_FACTORIALS
     if len(table) <= k_max:
-        size = max(k_max + 1, 2 * len(table))
+        if k_max > _MAX_KERNEL_N:
+            raise InvalidParameterError(f"outcome index {k_max} exceeds {_MAX_KERNEL_N}")
+        size = min(max(k_max + 1, 2 * len(table)), _MAX_KERNEL_N + 1)
         table = np.array([math.lgamma(k + 1.0) for k in range(size)])
         table.setflags(write=False)
         _LOG_FACTORIALS = table

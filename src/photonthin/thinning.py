@@ -15,12 +15,13 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError, TargetExceedsMeanError, TermOverflowError
+from .errors import InvalidParameterError, TargetExceedsMeanError
 from .pmf import (
-    _MAX_LOG,
     AttenuationCoefficient,
     CompensatedSum,
     Pmf,
+    _as_int,
+    _as_real,
     _log_factorials,
     _log_sum_exp,
     _log_terms,
@@ -41,7 +42,7 @@ _FIRST_CHUNK_ROWS = 32
 def _as_eta(eta: float | AttenuationCoefficient) -> float:
     if isinstance(eta, AttenuationCoefficient):
         return eta.eta
-    return AttenuationCoefficient(float(eta)).eta
+    return AttenuationCoefficient(eta).eta
 
 
 def _truncated(p: Pmf, entries: list[tuple[int, float]]) -> Pmf:
@@ -111,12 +112,9 @@ def thin_via_gf(p: Pmf, eta: float | AttenuationCoefficient, n_max: int) -> Pmf:
     since it overflows the float range long before the product does. The
     defect is the inherited one plus whatever the n_max cutoff leaves of
     the input's total mass.
-
-    Raises:
-        TermOverflowError: if a combined log magnitude leaves the
-            representable range.
     """
-    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
+    n_max = _as_int("n_max", n_max)
+    if n_max < 0:
         raise InvalidParameterError(f"n_max must be a nonnegative int, got {n_max!r}")
     eta = _as_eta(eta)
     if eta == 0.0:
@@ -130,13 +128,7 @@ def thin_via_gf(p: Pmf, eta: float | AttenuationCoefficient, n_max: int) -> Pmf:
     lf = _log_factorials(top)
     entries: list[tuple[int, float]] = []
     for n in range(top + 1):
-        log_q = n * log_eta - lf[n] + _log_sum_exp(_log_terms(p, n, log_z))
-        if log_q > _MAX_LOG:
-            raise TermOverflowError(
-                f"log-space term {log_q:.1f} at n={n} exceeds float range; "
-                f"n_max={n_max} is too large for eta={eta}"
-            )
-        q_n = math.exp(log_q)
+        q_n = math.exp(n * log_eta - lf[n] + _log_sum_exp(_log_terms(p, n, log_z)))
         if q_n > 0.0:
             entries.append((n, q_n))
     return _truncated(p, entries)
@@ -152,6 +144,7 @@ def eta_for_target_lambda(p: Pmf, target_lambda: float) -> AttenuationCoefficien
         InvalidParameterError: if the target is not positive and finite.
         TargetExceedsMeanError: if the target exceeds mean(p).
     """
+    target_lambda = _as_real("target mean", target_lambda)
     if not (math.isfinite(target_lambda) and target_lambda > 0.0):
         raise InvalidParameterError(
             f"target mean must be positive and finite, got {target_lambda!r}"

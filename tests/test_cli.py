@@ -22,6 +22,7 @@ from photonthin.cli import (
     table1_inputs,
     wide_input,
 )
+from photonthin.pmf import _MAX_KERNEL_N
 
 EX3_SPEC = {"two_point": {"a": 1, "pa": 0.95, "b": 1001, "pb": 0.05}}
 
@@ -153,6 +154,48 @@ class TestSpecNumbers:
     def test_large_indices_are_exact(self, tmp_path):
         spec = write_spec(tmp_path, {"table": [[9007199254740993, 0.5], [2.0**53, 0.5]]})
         assert load_source_spec(spec).support == (2**53, 2**53 + 1)
+
+    def test_equal_two_point_outcomes_exit_2(self, runner, tmp_path):
+        spec = write_spec(tmp_path, {"two_point": {"a": 3, "pa": 0.5, "b": 3, "pb": 0.5}})
+        assert_one_error_line(runner.invoke(cli, ["moments", spec]))
+
+    @pytest.mark.parametrize("command", ["moments", "report"])
+    def test_index_past_int64_exits_2(self, runner, tmp_path, command):
+        spec = write_spec(tmp_path, {"table": [[10**103, 1.0]]})
+        assert_one_error_line(
+            runner.invoke(cli, command_line(tmp_path, command, spec, SPEC_COMMANDS[command]))
+        )
+
+
+class TestKernelBound:
+    @pytest.mark.parametrize("command", ["thin", "report", "mc"])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"table": [[_MAX_KERNEL_N + 1, 1.0]]},
+            {"table": [[10**12, 1.0]]},
+            {"poisson": {"mu": 1e12}},
+        ],
+        ids=["index_past_bound", "index_1e12", "poisson_1e12"],
+    )
+    def test_past_bound_exits_2(self, runner, tmp_path, command, payload):
+        spec = write_spec(tmp_path, payload)
+        assert_one_error_line(
+            runner.invoke(cli, command_line(tmp_path, command, spec, SPEC_COMMANDS[command]))
+        )
+        assert not (tmp_path / "thin.csv").exists()
+
+    def test_poisson_past_bound_moments_exits_2(self, runner, tmp_path):
+        spec = write_spec(tmp_path, {"poisson": {"mu": 1e12}})
+        assert_one_error_line(runner.invoke(cli, ["moments", spec]))
+
+    @pytest.mark.parametrize("command", ["thin", "report"])
+    def test_n_report_past_bound(self, runner, tmp_path, command):
+        spec = write_spec(tmp_path, EX3_SPEC)
+        args = [*SPEC_COMMANDS[command], "--n-report", str(_MAX_KERNEL_N + 1)]
+        result = runner.invoke(cli, command_line(tmp_path, command, spec, args))
+        assert result.exit_code == 2
+        assert "Invalid value for '--n-report'" in result.stderr
 
 
 class TestThinCommand:

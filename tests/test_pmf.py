@@ -13,16 +13,22 @@ from photonthin import (
     AttenuationCoefficient,
     DuplicateIndexError,
     InvalidParameterError,
+    McConfig,
     NegativeMassError,
     NotNormalizedError,
     ZeroMeanError,
+    build_report,
+    eta_for_target_lambda,
     gf_derivative,
     make_pmf,
     moments,
     poisson_family,
+    simulate_thinned,
+    thin_direct,
+    thin_via_gf,
     tv_distance,
 )
-from photonthin.pmf import _log_factorials
+from photonthin.pmf import _MAX_KERNEL_N, _log_factorials
 
 # Frozen oracle values (independent routes, see each test).
 EX3_PAIRS = [(1, 0.95), (1001, 0.05)]
@@ -285,3 +291,108 @@ class TestTvDistance:
     def test_includes_tail_defects(self):
         p = poisson_family(5.0, 1e-8)
         assert tv_distance(p, p) == pytest.approx(p.tail_defect, rel=1e-12)
+
+
+# The bad values of the CLI's TestSpecNumbers, by name.
+BAD_VALUES = {
+    "bool": True,
+    "string": "3",
+    "none": None,
+    "fraction": 1.5,
+    "negative": -1,
+    "float_past_2_53": 9007199254740994.0,
+    "1e300": 1e300,
+    "10**400": 10**400,
+}
+
+# Each parameter under the input contract, as a call that passes it the value.
+CONTRACT_TARGETS = {
+    "index": lambda v: make_pmf([(v, 1.0)]),
+    "mass": lambda v: make_pmf([(3, v)]),
+    "mu": lambda v: poisson_family(v),
+    "tail_eps": lambda v: poisson_family(5.0, v),
+    "eta": lambda v: thin_direct(make_pmf(EX3_PAIRS), v),
+    "target_lambda": lambda v: eta_for_target_lambda(make_pmf(EX3_PAIRS), v),
+    "n_report": lambda v: build_report(make_pmf(EX3_PAIRS), 0.1, n_report=v),
+    "n_max": lambda v: thin_via_gf(make_pmf(EX3_PAIRS), 0.1, n_max=v),
+    "order": lambda v: gf_derivative(make_pmf(EX3_PAIRS), v, 0.5),
+    "z": lambda v: gf_derivative(make_pmf(EX3_PAIRS), 1, v),
+}
+
+# Pairs where the value is legal (a mean of 1.5, an n_max of 10**400) or is
+# refused by another typed error: a mass of -1 is a NegativeMassError, a
+# mass of 1.5 a NotNormalizedError, a target of 1e300 above ex3's mean a
+# TargetExceedsMeanError.
+NOT_APPLICABLE = {
+    ("mass", "fraction"), ("mass", "negative"), ("mass", "float_past_2_53"), ("mass", "1e300"),
+    ("mu", "fraction"), ("target_lambda", "fraction"), ("target_lambda", "float_past_2_53"),
+    ("target_lambda", "1e300"), ("n_max", "10**400"),
+}
+
+CONTRACT_CASES = [
+    (target, value)
+    for target in CONTRACT_TARGETS
+    for value in BAD_VALUES
+    if (target, value) not in NOT_APPLICABLE
+]
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "target, value", CONTRACT_CASES, ids=[f"{t}-{v}" for t, v in CONTRACT_CASES]
+    )
+    def test_bad_value_is_invalid_parameter(self, target, value):
+        with pytest.raises(InvalidParameterError):
+            CONTRACT_TARGETS[target](BAD_VALUES[value])
+
+    def test_numpy_scalars_accepted(self):
+        p = make_pmf([(np.int64(n), np.float64(m)) for n, m in EX3_PAIRS])
+        assert p == make_pmf(EX3_PAIRS)
+        assert all(type(n) is int and type(m) is float for n, m in p.entries)
+        assert AttenuationCoefficient(np.float64(0.1)).eta == 0.1
+        assert type(AttenuationCoefficient(np.float64(0.1)).eta) is float
+        assert thin_direct(p, np.float64(0.1)) == thin_direct(p, 0.1)
+        assert poisson_family(np.float64(5.0)) == poisson_family(5.0)
+
+    def test_index_past_int64_rejected(self):
+        for n in (2**63, 10**103):
+            with pytest.raises(InvalidParameterError):
+                make_pmf([(n, 1.0)])
+
+    def test_largest_int64_index_accepted(self):
+        ms = moments(make_pmf([(2**63 - 1, 1.0)]))
+        assert ms.mean == float(2**63 - 1)
+        assert ms.variance == 0.0
+
+
+class TestKernelBound:
+    @pytest.mark.parametrize("n", [_MAX_KERNEL_N + 1, 10**12], ids=["past_bound", "1e12"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: thin_direct(p, 0.5),
+            lambda p: thin_via_gf(p, 0.5, 10),
+            lambda p: gf_derivative(p, 1, 0.5),
+            lambda p: build_report(p, 0.5),
+            lambda p: simulate_thinned(p, 0.5, McConfig(seed=1, trials=10)),
+            lambda p: simulate_thinned(p, 1.0, McConfig(seed=1, trials=10)),
+        ],
+        ids=["thin_direct", "thin_via_gf", "gf_derivative", "build_report", "simulate_thinned",
+             "simulate_thinned_eta_1"],
+    )
+    def test_point_mass_past_bound_rejected(self, n, call):
+        with pytest.raises(InvalidParameterError):
+            call(make_pmf([(n, 1.0)]))
+
+    def test_poisson_past_bound_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            poisson_family(1e12)
+
+    def test_point_mass_at_bound_thins(self):
+        q = thin_direct(make_pmf([(_MAX_KERNEL_N, 1.0)]), 0.5)
+        assert q.mean == pytest.approx(_MAX_KERNEL_N / 2, rel=1e-10)
+        assert q.total_mass + q.tail_defect == pytest.approx(1.0, abs=1e-12)
+        assert len(_log_factorials(_MAX_KERNEL_N)) == _MAX_KERNEL_N + 1
+
+    def test_moments_take_any_int64_index(self):
+        assert moments(make_pmf([(10**12, 1.0)])).mean == 1e12
