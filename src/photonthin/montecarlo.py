@@ -12,9 +12,11 @@ survivors on one of two paths:
   of the chunk's pulses, as in the faint regime. Given the group sizes,
   the T photons survive independently with probability eta, so their
   number S is Binomial(T, eta) and, given S, the surviving photons are a
-  uniform S-subset of the T photon slots. The chunk draws S, draws the
-  subset (Floyd's algorithm), sorts it and counts how many of each
-  pulse's N slots it holds; pulses it misses count zero.
+  uniform S-subset of the T photon slots. The chunk draws S, then S
+  slots uniformly with replacement, sorted, drawing the repeats again
+  until S distinct slots remain (when S exceeds T / 2 it draws the
+  T - S slots that do not survive instead), and counts how many of
+  each pulse's N slots the subset holds; pulses it misses count zero.
 - Dense, otherwise: binomial draws for the survivors of every pulse in
   ascending N, one scalar-n call for each atom carrying at least
   ``_OWN_CALL_PULSES`` pulses and one array-n call for each run of
@@ -71,11 +73,11 @@ _OWN_CALL_PULSES = 1024
 # instead of pulse by pulse. The subset path costs a few operations per
 # survivor, the pulse-by-pulse path a binomial draw per pulse. On 250k
 # pulses (ex3, Poisson 3 and 50, the wide input, a point mass at 1; 2
-# cores, numpy 2.4) the subset path took 0.3 ms against 4.0-5.3 ms at
-# lambda = 0.01, 1.3-1.4 against 4.5-5.8 ms at 0.1 and 2.7-3.7 against
-# 4.9-7.0 ms at 0.25. The two cross between lambda 0.3 and 1 (ex3
-# first), and at 1 the subset path is 1.4-2.1x slower. Either path gives
-# the exact law, so the share moves only time.
+# cores, numpy 2.4) the subset path took 0.13-0.21 ms against 3.5-5.1 ms
+# at lambda = 0.01, 0.5-1.2 against 3.7-4.9 ms at 0.1 and 1.6-3.1
+# against 4.1-6.5 ms at 0.25. The two cross between lambda 0.25 and 1,
+# and at 1 the subset path is 1.1-2.5x slower. Either path gives the
+# exact law, so the share moves only time.
 _SPARSE_SURVIVOR_SHARE = 0.25
 
 
@@ -128,12 +130,14 @@ def simulate_thinned(
     point), then draw the survivors. When the chunk's expected survivor
     count, eta times its photon count T, is at most a quarter of its
     pulses, draw their number S ~ Binomial(T, eta) and the surviving
-    photons as a uniform S-subset of the chunk's photon slots, then count
-    each pulse's survivors; otherwise draw every pulse's survivor count
-    as a Binomial(N, eta) sample, pulse by pulse in ascending N, one
-    scalar-n call per atom with at least 1024 pulses in the chunk and
-    one array-n call per run of smaller groups. Both give the exact law
-    of independent photon survival; see the module docstring.
+    photons as a uniform S-subset of the chunk's photon slots (slots
+    drawn uniformly, repeats drawn again; for S > T / 2 the T - S lost
+    slots are drawn instead), then count each pulse's survivors;
+    otherwise draw every pulse's survivor count as a Binomial(N, eta)
+    sample, pulse by pulse in ascending N, one scalar-n call per atom
+    with at least 1024 pulses in the chunk and one array-n call per run
+    of smaller groups. Both give the exact law of independent photon
+    survival; see the module docstring.
     Deterministic in cfg: every chunk draws from its own PCG64 substream
     keyed by (cfg.seed, chunk index), and the path it takes depends only
     on that substream.
@@ -199,8 +203,9 @@ def simulate_thinned(
     for h in histograms:
         counts += h
 
+    observed = np.flatnonzero(counts)
     entries = tuple(
-        (int(n), int(k) / cfg.trials) for n, k in enumerate(counts) if k > 0
+        (n, k / cfg.trials) for n, k in zip(observed.tolist(), counts[observed].tolist())
     )
     empirical = Pmf(entries, tail_defect=0.0)
     analytic = thin_direct(p, eta)
@@ -287,10 +292,9 @@ def _sparse_survivors(
     hist[0] = n_trials
     survivors = rng.binomial(photons, eta)
     if survivors:
-        # Floyd's algorithm, or a partial shuffle when survivors exceed a
-        # twentieth of the slots; either way the subset is uniform.
-        pulse = rng.choice(photons, survivors, replace=False, shuffle=False)
-        pulse.sort()
+        # The surviving slots, sorted: repeats redrawn, or the slots left
+        # out drawn when survivors outnumber them.
+        pulse = _uniform_subset(rng, photons, survivors)
         widths = groups * sup
         photon_end = np.cumsum(widths)
         # How many surviving slots each atom holds; an atom without slots
@@ -317,3 +321,54 @@ def _sparse_survivors(
         hist[: b.size] += b
         hist[0] -= hits
     return hist
+
+
+def _uniform_subset(rng: np.random.Generator, size: int, count: int) -> np.ndarray:
+    """Sorted uniform count-subset of range(size), as int64.
+
+    Draws count slots uniformly with replacement, then as many slots
+    again as there are repeats among those drawn so far, until count
+    distinct slots remain. When count exceeds size / 2 it draws the
+    size - count slots left out the same way and returns the rest, so
+    fewer than half the slots are ever drawn and each slot drawn again
+    repeats with probability under a half.
+
+    Why the subset is uniform: every round draws independent uniform
+    slots and keeps the set of distinct slots drawn so far, and both
+    commute with every permutation of range(size). The law of the final
+    set is therefore invariant under all permutations, and the only such
+    law on count-subsets is the uniform one. The complement of a uniform
+    subset is uniform too.
+
+    The set is kept as sorted slots, repeats dropped and new slots merged
+    in with searchsorted; from a tenth of the slots on, as a mask over
+    all of them, which is cheaper there. Both give the same set from the
+    same draws.
+    """
+    if 2 * count > size:
+        keep = np.ones(size, dtype=bool)
+        keep[_uniform_subset(rng, size, size - count)] = False
+        return np.flatnonzero(keep)
+    if 10 * count >= size:
+        drawn = np.zeros(size, dtype=bool)
+        while missing := count - int(np.count_nonzero(drawn)):
+            drawn[rng.integers(size, size=missing)] = True
+        return np.flatnonzero(drawn)
+    slots = rng.integers(size, size=count)
+    slots.sort()
+    while True:
+        # Keep the first of each run of equal slots and draw the rest
+        # again. The flags are freed before the merge allocates: held
+        # over it, they raised a 2e6-trial call at lambda = 0.1 to about
+        # 950 minor page faults.
+        first = np.empty(count, dtype=bool)
+        first[:1] = True
+        np.not_equal(slots[1:], slots[:-1], out=first[1:])
+        missing = count - int(np.count_nonzero(first))
+        if not missing:
+            return slots
+        slots = slots[first]
+        del first
+        extra = rng.integers(size, size=missing)
+        extra.sort()
+        slots = np.insert(slots, np.searchsorted(slots, extra), extra)

@@ -259,13 +259,27 @@ def poisson_family(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
         raise InvalidParameterError(f"poisson mean {mu!r} reaches past index {_MAX_KERNEL_N}")
     acc = CompensatedSum()
     masses: list[float] = []
+    # Past the mean, n + 1 > mu, each term is at most mu / (n + 2) times
+    # the one before, so the masses after n sum to at most
+    # m_{n+1} (n + 2) / (n + 2 - mu). When the sum stays short of the
+    # target by more than twice that (for the rounding of each mass) plus
+    # 1e-15, the walk to hard_cap cannot reach it either, and it stops.
+    # The test runs at the first term past the mean and every 64 terms
+    # after, so walks that succeed pay for it at most a few times.
+    check_at = int(mu)
     for n in range(hard_cap + 1):
         mass = math.exp(-mu + n * log_mu - math.lgamma(n + 1))
         masses.append(mass)
         acc.add(mass)
-        if 1.0 - acc.value <= tail_eps:
+        short = 1.0 - acc.value
+        if short <= tail_eps:
             break
-    else:
+        if n == check_at:
+            check_at += 64
+            rest = mass * mu / (n + 1) * (n + 2) / (n + 2 - mu)
+            if short - 2.0 * rest - 1e-15 > tail_eps:
+                break
+    if short > tail_eps:
         raise InvalidParameterError(
             f"could not reach tail mass {tail_eps} within {hard_cap} terms"
         )

@@ -1,5 +1,6 @@
 """Monte Carlo oracle: determinism, binomial statistics, convergence."""
 
+import itertools
 import math
 import statistics
 
@@ -16,7 +17,12 @@ from photonthin import (
     thin_direct,
 )
 from photonthin import montecarlo
-from photonthin.montecarlo import _dense_survivors, _simulate_chunk, _sparse_survivors
+from photonthin.montecarlo import (
+    _dense_survivors,
+    _simulate_chunk,
+    _sparse_survivors,
+    _uniform_subset,
+)
 
 EX3 = [(1, 0.95), (1001, 0.05)]
 # Groups of 25k..75k pulses with runs of zero to a few pulses between them.
@@ -228,6 +234,24 @@ class TestSimulateThinned:
         res = simulate_thinned(p, 0.1, McConfig(seed=1, trials=10, chunk_size=2**62))
         assert res.trials == 10
 
+    def test_empirical_entries_equal_walk_over_every_count(self):
+        # A table reaching 10**6 photons: the entries are read off the
+        # observed counts only and must equal a walk over all 10**6 + 1.
+        p = make_pmf([(1, 0.95), (10**6, 0.05)])
+        eta = 0.1 / p.mean
+        cfg = McConfig(seed=609, trials=100_001, chunk_size=50_000)
+        res = simulate_thinned(p, eta, cfg)
+        sup, mas = p.arrays()
+        pvals = np.diff(np.minimum(np.cumsum(mas), 1.0), prepend=0.0)
+        hist_len = int(sup[-1]) + 1
+        counts = sum(
+            _simulate_chunk(sup, pvals, eta, n, cfg.seed, i, hist_len)
+            for i, n in enumerate([50_000, 50_000, 1])
+        )
+        want = tuple((int(n), int(k) / cfg.trials) for n, k in enumerate(counts) if k > 0)
+        assert len(want) >= 3
+        assert res.empirical.entries == want
+
     def test_numpy_integer_workers(self):
         p = make_pmf(EX3)
         cfg = McConfig(seed=3, trials=20_000, chunk_size=5_000)
@@ -320,9 +344,8 @@ class TestSparsePath:
         [
             (MIXED_WITH_TINY_ATOMS, 0.1, 601, 5),
             (UNIFORM_3000, 0.01, 602, 2),
-            # eta = 2/15 puts more than a twentieth of the slots in the
-            # subset, where numpy draws it by a partial shuffle instead
-            # of Floyd's algorithm.
+            # eta = 2/15 puts about a seventh of the slots in the subset,
+            # so several rounds draw repeated slots again.
             ([(1, 0.5), (2, 0.5)], 0.2, 603, 3),
         ],
         ids=["mixed_with_tiny_atoms", "uniform3000", "one_or_two"],
@@ -394,3 +417,91 @@ class TestSparsePath:
         threaded = simulate_thinned(p, eta, cfg, workers=2)
         assert serial.empirical == threaded.empirical
         assert serial.tv_to_analytic == threaded.tv_to_analytic
+
+
+class _CountingRng:
+    """A generator whose integers() calls are counted."""
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.integers(*args, **kwargs)
+
+
+def _redraw_process(rng, size, count):
+    """The subset process on a Python set, as a sorted list.
+
+    Draws as many slots as are still missing until count are distinct;
+    above size / 2, draws the slots left out instead.
+    """
+    if 2 * count > size:
+        return sorted(set(range(size)).difference(_redraw_process(rng, size, size - count)))
+    chosen = set()
+    while missing := count - len(chosen):
+        chosen.update(rng.integers(size, size=missing).tolist())
+    return sorted(chosen)
+
+
+class TestUniformSubset:
+    @pytest.mark.parametrize("size", [1, 2, 7, 10, 1000, 250_000])
+    def test_sorted_distinct_in_range_and_sized(self, size):
+        rng = np.random.Generator(np.random.PCG64(610))
+        for count in sorted({0, 1, size // 2, size // 2 + 1, size}):
+            slots = _uniform_subset(rng, size, count)
+            assert slots.dtype == np.int64
+            assert slots.shape == (count,)
+            assert np.all(np.diff(slots) > 0)
+            if count:
+                assert 0 <= slots[0] and slots[-1] < size
+
+    @pytest.mark.parametrize(
+        ("size", "count"),
+        [(1000, 1), (1000, 99), (1000, 100), (1000, 500), (1000, 501), (1000, 999),
+         (250_000, 24_999), (250_000, 62_500), (12_750_000, 25_000)],
+    )
+    def test_same_set_as_the_redraw_process(self, size, count):
+        # Sorted slots below a tenth of the slots, a mask from there on
+        # and the complement above a half: each must give the set that
+        # the process itself gives on the same stream.
+        got = _uniform_subset(np.random.Generator(np.random.PCG64(615)), size, count)
+        want = _redraw_process(np.random.Generator(np.random.PCG64(615)), size, count)
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize(
+        ("size", "count", "seed", "limit"),
+        [(6, 3, 611, 50.8), (6, 4, 612, 42.6), (21, 2, 616, 293.7)],
+        ids=["mask", "complement", "sorted"],
+    )
+    def test_every_subset_equally_likely(self, size, count, seed, limit):
+        # Chi-square over all C(size, count) subsets; limit is the 0.9999
+        # quantile for C(size, count) - 1 degrees of freedom.
+        rng = np.random.Generator(np.random.PCG64(seed))
+        cell = {c: i for i, c in enumerate(itertools.combinations(range(size), count))}
+        draws = 20_000
+        observed = np.zeros(len(cell))
+        for _ in range(draws):
+            observed[cell[tuple(_uniform_subset(rng, size, count).tolist())]] += 1
+        expected = draws / len(cell)
+        assert ((observed - expected) ** 2 / expected).sum() < limit
+
+    @pytest.mark.parametrize("count", [24_999, 62_500], ids=["sorted", "mask"])
+    def test_several_redraw_rounds(self, count):
+        # 62_500 of 250_000 is a point mass at 1 at the quarter rule:
+        # about one draw in nine repeats, and the repeats of the repeats
+        # need more rounds.
+        rng = _CountingRng(613)
+        slots = _uniform_subset(rng, 250_000, count)
+        assert rng.calls >= 4
+        assert slots.shape == (count,)
+        assert np.all(np.diff(slots) > 0)
+        assert 0 <= slots[0] and slots[-1] < 250_000
+
+    @pytest.mark.usefixtures("sparse_only")
+    def test_point_mass_at_the_quarter_rule(self):
+        # eta = 1/4 on a point mass at 1 puts a quarter of the slots in
+        # the subset, the most the quarter rule lets a table without
+        # vacuum draw.
+        assert _outcomes_within_five_sigma(make_pmf([(1, 1.0)]), 0.25, seed=614) == 2

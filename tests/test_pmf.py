@@ -28,7 +28,7 @@ from photonthin import (
     thin_via_gf,
     tv_distance,
 )
-from photonthin.pmf import _MAX_KERNEL_N, _log_factorials
+from photonthin.pmf import _MAX_KERNEL_N, CompensatedSum, Pmf, _log_factorials
 
 # Frozen oracle values (independent routes, see each test).
 EX3_PAIRS = [(1, 0.95), (1001, 0.05)]
@@ -132,6 +132,36 @@ class TestPoissonFamily:
     def test_invalid_parameters(self, mu, eps):
         with pytest.raises(InvalidParameterError):
             poisson_family(mu, eps)
+
+    @pytest.mark.parametrize(
+        ("mus", "eps"),
+        [(np.geomspace(1, 2000, 300), 1e-14), (np.arange(500, 10001, 250), 1e-12)],
+        ids=["geomspace_1e-14", "arange_1e-12"],
+    )
+    def test_early_stop_agrees_with_walk_to_hard_cap(self, mus, eps):
+        # The stop past the mean may only end walks that would fail: each
+        # mean raises exactly when the full walk does, with the same table
+        # otherwise. Both grids hold means where the walk fails today.
+        for mu in mus.tolist():
+            want = _walk_to_hard_cap(mu, eps)
+            if want is None:
+                with pytest.raises(InvalidParameterError, match="could not reach tail mass"):
+                    poisson_family(mu, eps)
+            else:
+                assert poisson_family(mu, eps) == want, mu
+
+
+def _walk_to_hard_cap(mu, eps):
+    """poisson_family's table from a walk without the early stop, or None."""
+    hard_cap = int(mu + 20.0 * math.sqrt(mu + 1.0) + 400.0)
+    acc = CompensatedSum()
+    masses = []
+    for n in range(hard_cap + 1):
+        masses.append(math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1)))
+        acc.add(masses[-1])
+        if 1.0 - acc.value <= eps:
+            return Pmf(tuple(enumerate(masses)), tail_defect=max(0.0, 1.0 - math.fsum(masses)))
+    return None
 
 
 class TestMoments:
