@@ -10,13 +10,13 @@ survivors on one of two paths:
 
 - Sparse, when the expected survivor count eta * T is at most a quarter
   of the chunk's pulses, as in the faint regime. Given the group sizes,
-  the T photons survive independently with probability eta, so their
-  number S is Binomial(T, eta) and, given S, the surviving photons are a
-  uniform S-subset of the T photon slots. The chunk draws S, then S
-  slots uniformly with replacement, sorted, drawing the repeats again
-  until S distinct slots remain (when S exceeds T / 2 it draws the
-  T - S slots that do not survive instead), and counts how many of
-  each pulse's N slots the subset holds; pulses it misses count zero.
+  the T photon slots survive independently with probability eta, so the
+  gaps between surviving slots are i.i.d. Geometric(eta). The chunk
+  draws each gap as the ceiling of a standard exponential over
+  -log(1 - eta), lays the gaps end to end to find the surviving slots in
+  ascending order, and counts how many of each pulse's N slots survive;
+  pulses without a surviving slot count zero. The number of survivors
+  comes out Binomial(T, eta) with no draw of its own.
 - Dense, otherwise: binomial draws for the survivors of every pulse in
   ascending N, one scalar-n call for each atom carrying at least
   ``_OWN_CALL_PULSES`` pulses and one array-n call for each run of
@@ -26,9 +26,10 @@ survivors on one of two paths:
 
 Both paths are exact for every N and every eta in [0, 1], including
 N = 0, T = 0 and eta in {0, 1}, and neither reads a pmf, so the oracle
-stays independent of the thinning kernel. The sparse path costs a few
-operations per survivor and the dense path a binomial draw per pulse;
-the quarter keeps the sparse path to chunks where it is clearly cheaper.
+stays independent of the thinning kernel. The sparse path costs an
+exponential draw and a few operations per survivor, the dense path a
+binomial draw per pulse; the quarter keeps the sparse path to chunks
+where it is clearly cheaper.
 
 Reproducibility contract: results are bit-identical for a fixed
 (seed, trials, chunk_size) regardless of how many workers execute the
@@ -48,7 +49,7 @@ versions is not promised.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,15 +70,17 @@ _MAX_INPUT_DEFECT = 1e-9
 _OWN_CALL_PULSES = 1024
 
 # Largest expected survivor count, as a share of the chunk's pulses, at
-# which a chunk draws its survivors as a uniform subset of photon slots
-# instead of pulse by pulse. The subset path costs a few operations per
-# survivor, the pulse-by-pulse path a binomial draw per pulse. On 250k
-# pulses (ex3, Poisson 3 and 50, the wide input, a point mass at 1; 2
-# cores, numpy 2.4) the subset path took 0.13-0.21 ms against 3.5-5.1 ms
-# at lambda = 0.01, 0.5-1.2 against 3.7-4.9 ms at 0.1 and 1.6-3.1
-# against 4.1-6.5 ms at 0.25. The two cross between lambda 0.25 and 1,
-# and at 1 the subset path is 1.1-2.5x slower. Either path gives the
-# exact law, so the share moves only time.
+# which a chunk draws its surviving photon slots from geometric gaps
+# instead of pulse by pulse. The gap path costs an exponential draw and a
+# few operations per survivor, the pulse-by-pulse path a binomial draw
+# per pulse. On 250k pulses (ex3, Poisson 3 and 50, a point mass at 1;
+# 2 cores, numpy 2.4; medians of 15 chunks, three runs) the gap path
+# took 0.60-0.83 ms against 3.2-4.9 ms at lambda = 0.1, 1.2-1.9 against
+# 3.2-5.8 ms at 0.25 and 2.4-3.7 against 3.9-7.1 ms at 0.5, and
+# 6.5-9.0 against 3.7-9.3 ms at 1, where it is up to 2x slower. The two
+# cross between lambda 0.5 and 1, but no benchmark input lies between
+# 0.25 and 1, so the share stays. Either path gives the exact law, so the
+# share moves only time.
 _SPARSE_SURVIVOR_SHARE = 0.25
 
 
@@ -129,15 +132,16 @@ def simulate_thinned(
     tail mass of a truncated family input goes to the largest support
     point), then draw the survivors. When the chunk's expected survivor
     count, eta times its photon count T, is at most a quarter of its
-    pulses, draw their number S ~ Binomial(T, eta) and the surviving
-    photons as a uniform S-subset of the chunk's photon slots (slots
-    drawn uniformly, repeats drawn again; for S > T / 2 the T - S lost
-    slots are drawn instead), then count each pulse's survivors;
-    otherwise draw every pulse's survivor count as a Binomial(N, eta)
-    sample, pulse by pulse in ascending N, one scalar-n call per atom
-    with at least 1024 pulses in the chunk and one array-n call per run
-    of smaller groups. Both give the exact law of independent photon
-    survival; see the module docstring.
+    pulses, draw the surviving photon slots in ascending order from
+    i.i.d. Geometric(eta) gaps between them, each the ceiling of a
+    standard exponential over -log(1 - eta), then count each pulse's
+    survivors; otherwise draw every pulse's survivor count as a
+    Binomial(N, eta) sample, pulse by pulse in ascending N, one scalar-n
+    call per atom with at least 1024 pulses in the chunk and one array-n
+    call per run of smaller groups. Both give the exact law of
+    independent photon survival; see the module docstring. Each chunk's
+    histogram ends at the largest survivor count it drew, and the
+    shorter ones are added into the longest.
     Deterministic in cfg: every chunk draws from its own PCG64 substream
     keyed by (cfg.seed, chunk index), and the path it takes depends only
     on that substream.
@@ -188,21 +192,20 @@ def simulate_thinned(
     if cfg.trials % cfg.chunk_size:
         sizes.append(cfg.trials % cfg.chunk_size)
 
-    hist_len = int(sup[-1]) + 1
-
     def run_chunk(index: int) -> np.ndarray:
-        return _simulate_chunk(sup, pvals, eta, sizes[index], cfg.seed, index, hist_len)
+        return _simulate_chunk(sup, pvals, eta, sizes[index], cfg.seed, index)
 
     if workers > 1 and len(sizes) > 1:
+        # Imported here: it costs about 6 ms of every start-up, and the
+        # CLI never runs a pool.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             histograms = list(pool.map(run_chunk, range(len(sizes))))
     else:
         histograms = [run_chunk(i) for i in range(len(sizes))]
 
-    counts = np.zeros(hist_len, dtype=np.int64)
-    for h in histograms:
-        counts += h
-
+    counts = _merge(histograms)
     observed = np.flatnonzero(counts)
     entries = tuple(
         (n, k / cfg.trials) for n, k in zip(observed.tolist(), counts[observed].tolist())
@@ -225,9 +228,12 @@ def _simulate_chunk(
     n_trials: int,
     seed: int,
     chunk_index: int,
-    hist_len: int,
 ) -> np.ndarray:
-    """One chunk's histogram from its own seeded substream."""
+    """One chunk's histogram from its own seeded substream.
+
+    The histogram reaches the largest survivor count drawn and no
+    further, so its last entry is positive.
+    """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     rng = np.random.Generator(np.random.PCG64(ss))
 
@@ -236,8 +242,8 @@ def _simulate_chunk(
     # products and their sum cannot wrap.
     photons = int(groups @ sup)
     if eta * photons <= _SPARSE_SURVIVOR_SHARE * n_trials:
-        return _sparse_survivors(rng, sup, groups, eta, photons, n_trials, hist_len)
-    return _dense_survivors(rng, sup, groups, eta, hist_len)
+        return _sparse_survivors(rng, sup, groups, eta, photons, n_trials)
+    return _dense_survivors(rng, sup, groups, eta)
 
 
 def _dense_survivors(
@@ -245,15 +251,9 @@ def _dense_survivors(
     sup: np.ndarray,
     groups: np.ndarray,
     eta: float,
-    hist_len: int,
 ) -> np.ndarray:
     """Histogram of per-pulse Binomial(N, eta) draws, pulse by pulse."""
-    hist = np.zeros(hist_len, dtype=np.int64)
-
-    def add(survived: np.ndarray) -> None:
-        b = np.bincount(survived)
-        hist[: b.size] += b
-
+    histograms = []
     # Pulses are drawn one by one in ascending N, each run of small groups
     # in one array-n call and each large group in one scalar-n call, so
     # the stream is consumed exactly as by one array-n call over
@@ -264,11 +264,20 @@ def _dense_survivors(
     for i in np.flatnonzero(groups >= _OWN_CALL_PULSES).tolist() + [sup.size]:
         run = np.repeat(sup[start:i], groups[start:i])
         if run.size:
-            add(rng.binomial(run, eta))
+            histograms.append(np.bincount(rng.binomial(run, eta)))
         if i < sup.size:
-            add(rng.binomial(sup[i], eta, size=groups[i]))
+            histograms.append(np.bincount(rng.binomial(sup[i], eta, size=groups[i])))
         start = i + 1
-    return hist
+    return _merge(histograms)
+
+
+def _merge(histograms: list[np.ndarray]) -> np.ndarray:
+    """Sum of count histograms of any lengths, added into the longest."""
+    total = max(histograms, key=len)
+    for h in histograms:
+        if h is not total:
+            total[: h.size] += h
+    return total
 
 
 def _sparse_survivors(
@@ -278,97 +287,98 @@ def _sparse_survivors(
     eta: float,
     photons: int,
     n_trials: int,
-    hist_len: int,
 ) -> np.ndarray:
-    """Histogram of survivors drawn as a uniform subset of photon slots.
+    """Histogram of survivors drawn as independently kept photon slots.
 
     The chunk's photons are numbered atom by atom in ascending N and, in
     each atom, N consecutive slots a pulse. Each survives independently
-    with probability eta, so their number S is Binomial(photons, eta) and,
-    given S, the surviving slots are a uniform S-subset; a pulse's count
-    is how many of them fall in its slots.
+    with probability eta, so the surviving slots are those that
+    _bernoulli_slots keeps; a pulse's count is how many of them fall in
+    its slots.
     """
-    hist = np.zeros(hist_len, dtype=np.int64)
-    hist[0] = n_trials
-    survivors = rng.binomial(photons, eta)
-    if survivors:
-        # The surviving slots, sorted: repeats redrawn, or the slots left
-        # out drawn when survivors outnumber them.
-        pulse = _uniform_subset(rng, photons, survivors)
-        widths = groups * sup
-        photon_end = np.cumsum(widths)
-        # How many surviving slots each atom holds; an atom without slots
-        # (N = 0 or no pulses) holds none, so nothing divides by N = 0.
-        held = np.diff(np.searchsorted(pulse, photon_end), prepend=0)
-        # Slot to pulse in place: offset within the atom, over N, plus the
-        # atom's first pulse. Temporaries are kept few, since heap pages
-        # freed by one chunk can go back to the system and fault again in
-        # the next.
-        pulse -= np.repeat(photon_end - widths, held)
-        pulse //= np.repeat(sup, held)
-        pulse += np.repeat(np.cumsum(groups) - groups, held)
-        # Slots are sorted, so each pulse hit owns one run of equal ids.
-        new = np.empty(survivors, dtype=bool)
-        new[0] = True
-        np.not_equal(pulse[1:], pulse[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        hits = starts.size
-        # Run lengths into pulse's first entries, which are read by then.
-        runs = pulse[:hits]
-        np.subtract(starts[1:], starts[:-1], out=runs[:-1])
-        runs[-1] = survivors - starts[-1]
-        b = np.bincount(runs)
-        hist[: b.size] += b
-        hist[0] -= hits
+    pulse = _bernoulli_slots(rng, photons, eta)
+    survivors = pulse.size
+    if not survivors:
+        return np.array([n_trials], dtype=np.int64)
+    widths = groups * sup
+    photon_end = np.cumsum(widths)
+    # How many surviving slots each atom holds; an atom without slots
+    # (N = 0 or no pulses) holds none, so nothing divides by N = 0.
+    held = np.diff(np.searchsorted(pulse, photon_end), prepend=0)
+    # Slot to pulse in place: offset within the atom plus the atom's first
+    # pulse times N, over N, which is offset // N plus that first pulse.
+    # Every term stays below pulses times N < 2**63. Temporaries are kept
+    # few, since heap pages freed by one chunk can go back to the system
+    # and fault again in the next.
+    first_pulse = np.cumsum(groups) - groups
+    pulse -= np.repeat(photon_end - widths - first_pulse * sup, held)
+    pulse //= np.repeat(sup, held)
+    # Slots are sorted, so each pulse hit owns one run of equal ids.
+    new = np.empty(survivors, dtype=bool)
+    new[0] = True
+    np.not_equal(pulse[1:], pulse[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    hits = starts.size
+    # Run lengths into pulse's first entries, which are read by then.
+    runs = pulse[:hits]
+    np.subtract(starts[1:], starts[:-1], out=runs[:-1])
+    runs[-1] = survivors - starts[-1]
+    hist = np.bincount(runs)
+    hist[0] = n_trials - hits
     return hist
 
 
-def _uniform_subset(rng: np.random.Generator, size: int, count: int) -> np.ndarray:
-    """Sorted uniform count-subset of range(size), as int64.
+def _bernoulli_slots(rng: np.random.Generator, size: int, eta: float) -> np.ndarray:
+    """Sorted slots of range(size), each kept independently with probability eta.
 
-    Draws count slots uniformly with replacement, then as many slots
-    again as there are repeats among those drawn so far, until count
-    distinct slots remain. When count exceeds size / 2 it draws the
-    size - count slots left out the same way and returns the rest, so
-    fewer than half the slots are ever drawn and each slot drawn again
-    repeats with probability under a half.
+    Draws the gaps between kept slots as G = ceil(E / -log1p(-eta)), with
+    E standard exponential, and keeps the slots cumsum(G) - 1 below size.
+    Why this is exact: for every integer k >= 0,
+    P(G > k) = P(E > k * -log(1 - eta)) = (1 - eta)**k, so the gaps are
+    i.i.d. Geometric(eta) on {1, 2, ...}. That is the law of the gaps
+    between kept slots when each slot is kept independently with
+    probability eta, so the number kept comes out Binomial(size, eta)
+    with no draw of its own. At eta = 1 every gap is 1 and every slot is
+    kept; at eta = 0 none is.
 
-    Why the subset is uniform: every round draws independent uniform
-    slots and keeps the set of distinct slots drawn so far, and both
-    commute with every permutation of range(size). The law of the final
-    set is therefore invariant under all permutations, and the only such
-    law on count-subsets is the uniform one. The complement of a uniform
-    subset is uniform too.
+    standard_exponential can return exactly 0.0, so every gap is clamped
+    to at least 1; a gap of 0 would repeat a slot. The first draw holds
+    eta * size + 6 sqrt(eta * size) + 16 gaps, which almost always run
+    past the last slot; draws of as many more continue from the last slot
+    kept for as long as they fall short.
 
-    The set is kept as sorted slots, repeats dropped and new slots merged
-    in with searchsorted; from a tenth of the slots on, as a mask over
-    all of them, which is cheaper there. Both give the same set from the
-    same draws.
+    Positions are summed in uint64 with every gap capped at 2**63, which
+    leaves a gap past the end past it, since size < 2**63. Every sum up
+    to the first position past the end is then exact and below 2**64, so
+    the cut falls there even where later sums wrap, and no slot count
+    that int64 holds wraps. Each draw's gaps, their ceilings and the
+    positions share one buffer, read as float64 and then as uint64:
+    buffers this size, freed chunk by chunk, go back to the system and
+    fault in again.
     """
-    if 2 * count > size:
-        keep = np.ones(size, dtype=bool)
-        keep[_uniform_subset(rng, size, size - count)] = False
-        return np.flatnonzero(keep)
-    if 10 * count >= size:
-        drawn = np.zeros(size, dtype=bool)
-        while missing := count - int(np.count_nonzero(drawn)):
-            drawn[rng.integers(size, size=missing)] = True
-        return np.flatnonzero(drawn)
-    slots = rng.integers(size, size=count)
-    slots.sort()
-    while True:
-        # Keep the first of each run of equal slots and draw the rest
-        # again. The flags are freed before the merge allocates: held
-        # over it, they raised a 2e6-trial call at lambda = 0.1 to about
-        # 950 minor page faults.
-        first = np.empty(count, dtype=bool)
-        first[:1] = True
-        np.not_equal(slots[1:], slots[:-1], out=first[1:])
-        missing = count - int(np.count_nonzero(first))
-        if not missing:
-            return slots
-        slots = slots[first]
-        del first
-        extra = rng.integers(size, size=missing)
-        extra.sort()
-        slots = np.insert(slots, np.searchsorted(slots, extra), extra)
+    if not (eta and size):
+        return np.empty(0, dtype=np.int64)
+    rate = -math.log1p(-eta) if eta < 1.0 else math.inf
+    mean = eta * size
+    count = int(mean + 6.0 * math.sqrt(mean)) + 16
+    parts = []
+    start = 0
+    while start < size:
+        gaps = rng.standard_exponential(count)
+        np.divide(gaps, rate, out=gaps)
+        np.clip(gaps, 1.0, 2.0**63, out=gaps)
+        np.ceil(gaps, out=gaps)
+        # Cast in place: a ufunc casting into this view would copy its
+        # input first, and copyto does not.
+        ends = gaps.view(np.uint64)
+        np.copyto(ends, gaps, casting="unsafe")
+        np.cumsum(ends, out=ends)
+        past = ends > size - start
+        kept = int(past.argmax()) if past.any() else count
+        slots = ends[:kept].view(np.int64)
+        slots += start - 1
+        parts.append(slots)
+        if kept < count:
+            break
+        start = int(slots[-1]) + 1
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)

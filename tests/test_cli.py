@@ -478,16 +478,25 @@ class TestCsvRoundTrip:
                 assert repr(value) == token  # shortest round-trip form
 
 
+def _modules_after_cli_import(package):
+    """Modules of package loaded by `import photonthin.cli` in a fresh interpreter."""
+    src = str(Path(photonthin.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, photonthin.cli; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return run.stdout.strip()
+
+
 class TestImports:
     def test_cli_import_leaves_scipy_out(self):
-        src = str(Path(photonthin.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = (
-            "import sys, photonthin.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        run = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert run.stdout.strip() == "[]"
+        assert _modules_after_cli_import("scipy") == "[]"
+
+    def test_cli_import_leaves_the_thread_pool_out(self):
+        # concurrent.futures is imported only when simulate_thinned runs a pool.
+        assert _modules_after_cli_import("concurrent") == "[]"

@@ -1,9 +1,9 @@
 """Monte Carlo oracle: determinism, binomial statistics, convergence."""
 
-import itertools
 import math
 import statistics
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,10 +18,10 @@ from photonthin import (
 )
 from photonthin import montecarlo
 from photonthin.montecarlo import (
+    _bernoulli_slots,
     _dense_survivors,
     _simulate_chunk,
     _sparse_survivors,
-    _uniform_subset,
 )
 
 EX3 = [(1, 0.95), (1001, 0.05)]
@@ -31,6 +31,17 @@ MIXED_WITH_TINY_ATOMS = [
     (65, 0.2), (500, 1e-6), (1001, 0.2), (2000, 1e-8),
 ]
 UNIFORM_3000 = [(n, 1.0 / 3000) for n in range(3000)]
+# The 0.9999 quantile of the chi-square law with 63 degrees of freedom,
+# checked against mpmath in TestBernoulliSlots.
+CHI2_63_QUANTILE_9999 = 113.505
+
+
+def _summed(histograms):
+    """Sum of count histograms of any lengths."""
+    total = np.zeros(max(h.size for h in histograms), dtype=np.int64)
+    for h in histograms:
+        total[: h.size] += h
+    return total
 
 
 def _outcomes_within_five_sigma(p, eta, seed, trials=1_000_000):
@@ -243,12 +254,30 @@ class TestSimulateThinned:
         res = simulate_thinned(p, eta, cfg)
         sup, mas = p.arrays()
         pvals = np.diff(np.minimum(np.cumsum(mas), 1.0), prepend=0.0)
-        hist_len = int(sup[-1]) + 1
-        counts = sum(
-            _simulate_chunk(sup, pvals, eta, n, cfg.seed, i, hist_len)
-            for i, n in enumerate([50_000, 50_000, 1])
+        counts = _summed(
+            [_simulate_chunk(sup, pvals, eta, n, cfg.seed, i)
+             for i, n in enumerate([50_000, 50_000, 1])]
         )
         want = tuple((int(n), int(k) / cfg.trials) for n, k in enumerate(counts) if k > 0)
+        assert len(want) >= 3
+        assert res.empirical.entries == want
+
+    def test_dense_entries_equal_full_length_histograms(self):
+        # Chunk histograms end at the largest count drawn. On a dense
+        # (lambda = 1) input reaching 2**16 photons, the entries must equal
+        # those of max N + 1 long histograms of one array-n call a chunk,
+        # with a remainder chunk.
+        top = 2**16
+        p = make_pmf([(1, 0.95), (top, 0.05)])
+        eta = 1.0 / p.mean
+        cfg = McConfig(seed=617, trials=250_001, chunk_size=125_000)
+        res = simulate_thinned(p, eta, cfg)
+        sup, pvals = p.arrays()
+        counts = np.zeros(top + 1, dtype=np.int64)
+        for i, n in enumerate([125_000, 125_000, 1]):
+            rng, groups = _chunk_start(pvals, n, cfg.seed, i)
+            counts += np.bincount(rng.binomial(np.repeat(sup, groups), eta), minlength=top + 1)
+        want = tuple((n, int(k) / cfg.trials) for n, k in enumerate(counts) if k)
         assert len(want) >= 3
         assert res.empirical.entries == want
 
@@ -267,10 +296,10 @@ def _chunk_start(pvals, n_trials, seed, chunk_index):
     return rng, rng.multinomial(n_trials, pvals)
 
 
-def _reference_chunk(sup, pvals, eta, n_trials, seed, chunk_index, hist_len):
+def _reference_chunk(sup, pvals, eta, n_trials, seed, chunk_index):
     """A chunk's histogram from one array-n binomial call over all pulses."""
     rng, groups = _chunk_start(pvals, n_trials, seed, chunk_index)
-    return np.bincount(rng.binomial(np.repeat(sup, groups), eta), minlength=hist_len)
+    return np.bincount(rng.binomial(np.repeat(sup, groups), eta))
 
 
 class TestChunkStream:
@@ -291,12 +320,11 @@ class TestChunkStream:
         # N does. The helper is called directly, since chunks at small eta
         # take the sparse path.
         sup, pvals = p.arrays()
-        hist_len = int(sup[-1]) + 1
         seed = 99
         for index, n_trials in enumerate([250_000, 250_000, 37_123]):
             rng, groups = _chunk_start(pvals, n_trials, seed, index)
-            got = _dense_survivors(rng, sup, groups, eta, hist_len)
-            want = _reference_chunk(sup, pvals, eta, n_trials, seed, index, hist_len)
+            got = _dense_survivors(rng, sup, groups, eta)
+            want = _reference_chunk(sup, pvals, eta, n_trials, seed, index)
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize(
@@ -307,7 +335,6 @@ class TestChunkStream:
         # Just above the rule a chunk takes the dense path and draws as
         # one array-n call; at the rule it takes the sparse one.
         sup, pvals = p.arrays()
-        hist_len = int(sup[-1]) + 1
         n_trials, seed, index = 250_000, 17, 3
         photons = int(_chunk_start(pvals, n_trials, seed, index)[1] @ sup)
         limit = 0.25 * n_trials
@@ -317,13 +344,13 @@ class TestChunkStream:
         above = np.nextafter(at, 1.0)
         assert above * photons > limit >= at * photons
 
-        got = _simulate_chunk(sup, pvals, above, n_trials, seed, index, hist_len)
-        want = _reference_chunk(sup, pvals, above, n_trials, seed, index, hist_len)
+        got = _simulate_chunk(sup, pvals, above, n_trials, seed, index)
+        want = _reference_chunk(sup, pvals, above, n_trials, seed, index)
         np.testing.assert_array_equal(got, want)
 
-        got = _simulate_chunk(sup, pvals, at, n_trials, seed, index, hist_len)
+        got = _simulate_chunk(sup, pvals, at, n_trials, seed, index)
         rng, groups = _chunk_start(pvals, n_trials, seed, index)
-        want = _sparse_survivors(rng, sup, groups, at, photons, n_trials, hist_len)
+        want = _sparse_survivors(rng, sup, groups, at, photons, n_trials)
         np.testing.assert_array_equal(got, want)
 
 
@@ -344,8 +371,8 @@ class TestSparsePath:
         [
             (MIXED_WITH_TINY_ATOMS, 0.1, 601, 5),
             (UNIFORM_3000, 0.01, 602, 2),
-            # eta = 2/15 puts about a seventh of the slots in the subset,
-            # so several rounds draw repeated slots again.
+            # eta = 2/15 keeps about a seventh of the slots, so gaps of 1
+            # are common and some pulses keep both photons.
             ([(1, 0.5), (2, 0.5)], 0.2, 603, 3),
         ],
         ids=["mixed_with_tiny_atoms", "uniform3000", "one_or_two"],
@@ -360,12 +387,11 @@ class TestSparsePath:
         cfg = McConfig(seed=604, trials=123_457, chunk_size=50_000)
         res = simulate_thinned(p, eta, cfg)
         sup, pvals = p.arrays()
-        hist_len = int(sup[-1]) + 1
         chunks = [
-            _simulate_chunk(sup, pvals, eta, n, cfg.seed, i, hist_len)
+            _simulate_chunk(sup, pvals, eta, n, cfg.seed, i)
             for i, n in enumerate([50_000, 50_000, 23_457])
         ]
-        total = sum(chunks)
+        total = _summed(chunks)
         assert [int(h.sum()) for h in chunks] == [50_000, 50_000, 23_457]
         want = tuple((n, int(k) / cfg.trials) for n, k in enumerate(total) if k)
         assert res.empirical.entries == want
@@ -382,20 +408,20 @@ class TestSparsePath:
     )
     def test_chunk_sums_to_its_trials(self, entries, eta):
         sup, pvals = make_pmf(entries).arrays()
-        hist_len = int(sup[-1]) + 1
         for index, n_trials in enumerate([250_000, 1, 7_919]):
-            hist = _simulate_chunk(sup, pvals, eta, n_trials, 605, index, hist_len)
-            assert hist.shape == (hist_len,)
+            hist = _simulate_chunk(sup, pvals, eta, n_trials, 605, index)
+            assert hist.size <= int(sup[-1]) + 1
+            assert hist[-1] > 0
             assert hist.min() >= 0
             assert int(hist.sum()) == n_trials
 
     def test_no_photons_or_no_survival_count_zero(self):
         sup, pvals = make_pmf([(0, 1.0)]).arrays()
         np.testing.assert_array_equal(
-            _simulate_chunk(sup, pvals, 0.2, 1_000, 606, 0, 1), [1_000]
+            _simulate_chunk(sup, pvals, 0.2, 1_000, 606, 0), [1_000]
         )
         sup, pvals = make_pmf(EX3).arrays()
-        hist = _simulate_chunk(sup, pvals, 0.0, 1_000, 606, 0, 1002)
+        hist = _simulate_chunk(sup, pvals, 0.0, 1_000, 606, 0)
         assert hist[0] == 1_000
         assert not hist[1:].any()
 
@@ -405,8 +431,8 @@ class TestSparsePath:
         # chunk under the quarter rule.
         sup, pvals = make_pmf([(0, 0.92), (2, 0.06), (3, 1e-6), (5, 0.02 - 1e-6)]).arrays()
         for index, n_trials in enumerate([250_000, 37_123]):
-            got = _simulate_chunk(sup, pvals, 1.0, n_trials, 608, index, 6)
-            want = _reference_chunk(sup, pvals, 1.0, n_trials, 608, index, 6)
+            got = _simulate_chunk(sup, pvals, 1.0, n_trials, 608, index)
+            want = _reference_chunk(sup, pvals, 1.0, n_trials, 608, index)
             np.testing.assert_array_equal(got, want)
 
     def test_workers_bit_identical(self):
@@ -418,90 +444,112 @@ class TestSparsePath:
         assert serial.empirical == threaded.empirical
         assert serial.tv_to_analytic == threaded.tv_to_analytic
 
-
-class _CountingRng:
-    """A generator whose integers() calls are counted."""
-
-    def __init__(self, seed):
-        self._rng = np.random.Generator(np.random.PCG64(seed))
-        self.calls = 0
-
-    def integers(self, *args, **kwargs):
-        self.calls += 1
-        return self._rng.integers(*args, **kwargs)
-
-
-def _redraw_process(rng, size, count):
-    """The subset process on a Python set, as a sorted list.
-
-    Draws as many slots as are still missing until count are distinct;
-    above size / 2, draws the slots left out instead.
-    """
-    if 2 * count > size:
-        return sorted(set(range(size)).difference(_redraw_process(rng, size, size - count)))
-    chosen = set()
-    while missing := count - len(chosen):
-        chosen.update(rng.integers(size, size=missing).tolist())
-    return sorted(chosen)
-
-
-class TestUniformSubset:
-    @pytest.mark.parametrize("size", [1, 2, 7, 10, 1000, 250_000])
-    def test_sorted_distinct_in_range_and_sized(self, size):
-        rng = np.random.Generator(np.random.PCG64(610))
-        for count in sorted({0, 1, size // 2, size // 2 + 1, size}):
-            slots = _uniform_subset(rng, size, count)
-            assert slots.dtype == np.int64
-            assert slots.shape == (count,)
-            assert np.all(np.diff(slots) > 0)
-            if count:
-                assert 0 <= slots[0] and slots[-1] < size
-
-    @pytest.mark.parametrize(
-        ("size", "count"),
-        [(1000, 1), (1000, 99), (1000, 100), (1000, 500), (1000, 501), (1000, 999),
-         (250_000, 24_999), (250_000, 62_500), (12_750_000, 25_000)],
-    )
-    def test_same_set_as_the_redraw_process(self, size, count):
-        # Sorted slots below a tenth of the slots, a mask from there on
-        # and the complement above a half: each must give the set that
-        # the process itself gives on the same stream.
-        got = _uniform_subset(np.random.Generator(np.random.PCG64(615)), size, count)
-        want = _redraw_process(np.random.Generator(np.random.PCG64(615)), size, count)
-        assert got.tolist() == want
-
-    @pytest.mark.parametrize(
-        ("size", "count", "seed", "limit"),
-        [(6, 3, 611, 50.8), (6, 4, 612, 42.6), (21, 2, 616, 293.7)],
-        ids=["mask", "complement", "sorted"],
-    )
-    def test_every_subset_equally_likely(self, size, count, seed, limit):
-        # Chi-square over all C(size, count) subsets; limit is the 0.9999
-        # quantile for C(size, count) - 1 degrees of freedom.
-        rng = np.random.Generator(np.random.PCG64(seed))
-        cell = {c: i for i, c in enumerate(itertools.combinations(range(size), count))}
-        draws = 20_000
-        observed = np.zeros(len(cell))
-        for _ in range(draws):
-            observed[cell[tuple(_uniform_subset(rng, size, count).tolist())]] += 1
-        expected = draws / len(cell)
-        assert ((observed - expected) ** 2 / expected).sum() < limit
-
-    @pytest.mark.parametrize("count", [24_999, 62_500], ids=["sorted", "mask"])
-    def test_several_redraw_rounds(self, count):
-        # 62_500 of 250_000 is a point mass at 1 at the quarter rule:
-        # about one draw in nine repeats, and the repeats of the repeats
-        # need more rounds.
-        rng = _CountingRng(613)
-        slots = _uniform_subset(rng, 250_000, count)
-        assert rng.calls >= 4
-        assert slots.shape == (count,)
-        assert np.all(np.diff(slots) > 0)
-        assert 0 <= slots[0] and slots[-1] < 250_000
-
-    @pytest.mark.usefixtures("sparse_only")
     def test_point_mass_at_the_quarter_rule(self):
         # eta = 1/4 on a point mass at 1 puts a quarter of the slots in
         # the subset, the most the quarter rule lets a table without
         # vacuum draw.
         assert _outcomes_within_five_sigma(make_pmf([(1, 1.0)]), 0.25, seed=614) == 2
+
+
+class _ShortFirstDraw:
+    """A generator whose first exponential draw is scaled by `first`.
+
+    Scaled down, the first draw's gaps end short of the last slot, so the
+    top-up draws run. Every value handed out is kept in `drawn`.
+    """
+
+    def __init__(self, seed, first):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._first = first
+        self.drawn = []
+
+    def standard_exponential(self, size):
+        e = self._rng.standard_exponential(size)
+        if not self.drawn:
+            e *= self._first
+        self.drawn.append(e.copy())
+        return e
+
+
+class _ZeroDraws:
+    """A generator whose exponential draws are all 0.0.
+
+    Fails after 100 draws, so a top-up loop that stops advancing fails
+    instead of hanging.
+    """
+
+    def __init__(self):
+        self.calls = 0
+
+    def standard_exponential(self, size):
+        self.calls += 1
+        assert self.calls <= 100, "the top-up draws stopped advancing"
+        return np.zeros(size)
+
+
+class TestBernoulliSlots:
+    @pytest.mark.parametrize("eta", [0.0, 1e-6, 0.15, 0.5, 1.0])
+    @pytest.mark.parametrize("size", [0, 1, 7, 1000, 250_000])
+    def test_sorted_distinct_in_range(self, size, eta):
+        slots = _bernoulli_slots(np.random.Generator(np.random.PCG64(610)), size, eta)
+        assert slots.dtype == np.int64
+        assert np.all(np.diff(slots) > 0)
+        if slots.size:
+            assert 0 <= slots[0] and slots[-1] < size
+        if eta == 0.0:
+            assert slots.size == 0
+        if eta == 1.0:
+            assert slots.tolist() == list(range(size))
+
+    def test_chi_square_quantile(self):
+        # P(chi2_63 > x) is the regularised upper incomplete gamma Q(63/2, x/2).
+        tail = mpmath.gammainc(31.5, CHI2_63_QUANTILE_9999 / 2, mpmath.inf, regularized=True)
+        assert abs(float(tail) - 1e-4) <= 1e-8
+
+    @pytest.mark.parametrize(("eta", "seed"), [(0.15, 611), (0.5, 612)])
+    def test_every_subset_of_six_slots_has_its_bernoulli_mass(self, eta, seed):
+        # Each block of six slots of one draw holds an independent subset of
+        # range(6), whose k slots have mass eta**k (1 - eta)**(6 - k). A
+        # chi-square over all 2**6 subsets; the rarest is still expected
+        # about 12 times at eta = 0.15.
+        blocks = 2**20
+        slots = _bernoulli_slots(np.random.Generator(np.random.PCG64(seed)), 6 * blocks, eta)
+        subset = np.bincount(slots // 6, weights=1 << (slots % 6), minlength=blocks)
+        observed = np.bincount(subset.astype(np.int64), minlength=64)
+        k = np.array([bin(s).count("1") for s in range(64)])
+        expected = blocks * eta**k * (1.0 - eta) ** (6 - k)
+        assert ((observed - expected) ** 2 / expected).sum() < CHI2_63_QUANTILE_9999
+
+    def test_top_up_draws_continue_from_the_last_slot(self):
+        # The first draw's gaps are shrunk tenfold, so they end short of
+        # the last slot and more are drawn. The slots must be those of the
+        # gaps of all draws laid end to end.
+        size, eta = 250_000, 0.01
+        rng = _ShortFirstDraw(618, first=0.1)
+        slots = _bernoulli_slots(rng, size, eta)
+        assert len(rng.drawn) >= 2
+        gaps = np.maximum(np.ceil(np.concatenate(rng.drawn) / -math.log1p(-eta)), 1.0)
+        ends = np.cumsum(gaps.astype(np.int64)) - 1
+        assert slots.tolist() == ends[ends < size].tolist()
+
+    def test_zero_draws_repeat_no_slot(self):
+        # standard_exponential can return 0.0; every gap is then clamped to
+        # 1, and many top-up draws must cover each slot once.
+        # 1000 slots at 44 gaps a draw take 23 draws.
+        assert _bernoulli_slots(_ZeroDraws(), 1000, 0.01).tolist() == list(range(1000))
+
+    def test_positions_past_2_63_do_not_wrap(self):
+        # A point mass at 2**20 in a chunk of 2**42 pulses holds 2**62
+        # photon slots, and eta = 1e-18 keeps about 4.6 of them: gaps near
+        # 2**62 sum past 2**63 and must not wrap back into range.
+        size, eta, seeds = 2**62, 1e-18, 200
+        total = 0
+        for seed in range(seeds):
+            slots = _bernoulli_slots(np.random.Generator(np.random.PCG64(seed)), size, eta)
+            assert slots.size < 30
+            assert np.all(np.diff(slots) > 0)
+            if slots.size:
+                assert 0 <= slots[0] and slots[-1] < size
+            total += slots.size
+        mean = seeds * eta * size
+        assert abs(total - mean) <= 6.0 * math.sqrt(mean * (1.0 - eta))
