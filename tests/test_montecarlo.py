@@ -1,5 +1,6 @@
 """Monte Carlo oracle: determinism, binomial statistics, convergence."""
 
+import itertools
 import math
 import statistics
 
@@ -444,12 +445,6 @@ class TestSparsePath:
         assert serial.empirical == threaded.empirical
         assert serial.tv_to_analytic == threaded.tv_to_analytic
 
-    def test_point_mass_at_the_quarter_rule(self):
-        # eta = 1/4 on a point mass at 1 puts a quarter of the slots in
-        # the subset, the most the quarter rule lets a table without
-        # vacuum draw.
-        assert _outcomes_within_five_sigma(make_pmf([(1, 1.0)]), 0.25, seed=614) == 2
-
 
 class _ShortFirstDraw:
     """A generator whose first exponential draw is scaled by `first`.
@@ -487,20 +482,58 @@ class _ZeroDraws:
         return np.zeros(size)
 
 
-class TestBernoulliSlots:
-    @pytest.mark.parametrize("eta", [0.0, 1e-6, 0.15, 0.5, 1.0])
-    @pytest.mark.parametrize("size", [0, 1, 7, 1000, 250_000])
-    def test_sorted_distinct_in_range(self, size, eta):
-        slots = _bernoulli_slots(np.random.Generator(np.random.PCG64(610)), size, eta)
-        assert slots.dtype == np.int64
-        assert np.all(np.diff(slots) > 0)
-        if slots.size:
-            assert 0 <= slots[0] and slots[-1] < size
-        if eta == 0.0:
-            assert slots.size == 0
-        if eta == 1.0:
-            assert slots.tolist() == list(range(size))
+class TestUniformSubset:
+    """The kept slots: sorted, distinct and in range, and, given how many
+    there are, a uniform subset of range(size)."""
 
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 10, 1000, 250_000])
+    def test_sorted_distinct_in_range_and_sized(self, size):
+        rng = np.random.Generator(np.random.PCG64(610))
+        for eta in [0.0, 1e-6, 0.15, 0.5, 1.0]:
+            slots = _bernoulli_slots(rng, size, eta)
+            assert slots.dtype == np.int64
+            assert np.all(np.diff(slots) > 0)
+            if slots.size:
+                assert 0 <= slots[0] and slots[-1] < size
+            # Within 6 sigma of eta * size: none at eta = 0, all at eta = 1.
+            assert abs(slots.size - eta * size) <= 6.0 * math.sqrt(size * eta * (1.0 - eta))
+
+    @pytest.mark.parametrize(
+        ("size", "count", "seed", "limit"),
+        [(6, 3, 611, 50.8), (6, 4, 612, 42.6), (21, 2, 616, 293.7)],
+        ids=["mask", "complement", "sorted"],
+    )
+    def test_every_subset_equally_likely(self, size, count, seed, limit):
+        # Blocks of size slots of one draw at eta = count / size, kept
+        # where the block holds count slots: a chi-square over all
+        # C(size, count) subsets; limit is the 0.9999 quantile for
+        # C(size, count) - 1 degrees of freedom. The ids name the share
+        # kept: a half, more than a half and under a tenth.
+        blocks = 100_000
+        rng = np.random.Generator(np.random.PCG64(seed))
+        slots = _bernoulli_slots(rng, size * blocks, count / size)
+        block = slots // size
+        held = np.bincount(block, minlength=blocks)
+        subset = np.bincount(block, weights=1 << (slots % size), minlength=blocks)
+        subset = subset[held == count].astype(np.int64)
+        cell = {
+            sum(1 << s for s in c): i
+            for i, c in enumerate(itertools.combinations(range(size), count))
+        }
+        observed = np.bincount([cell[s] for s in subset.tolist()], minlength=len(cell))
+        assert observed.sum() >= 20_000
+        expected = observed.sum() / len(cell)
+        assert ((observed - expected) ** 2 / expected).sum() < limit
+
+    @pytest.mark.usefixtures("sparse_only")
+    def test_point_mass_at_the_quarter_rule(self):
+        # eta = 1/4 on a point mass at 1 puts a quarter of the slots in
+        # the subset, the most the quarter rule lets a table without
+        # vacuum draw.
+        assert _outcomes_within_five_sigma(make_pmf([(1, 1.0)]), 0.25, seed=614) == 2
+
+
+class TestBernoulliSlots:
     def test_chi_square_quantile(self):
         # P(chi2_63 > x) is the regularised upper incomplete gamma Q(63/2, x/2).
         tail = mpmath.gammainc(31.5, CHI2_63_QUANTILE_9999 / 2, mpmath.inf, regularized=True)
