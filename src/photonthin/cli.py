@@ -10,11 +10,11 @@ Spec file format, exactly one variant per file::
     {"poisson": {"mu": M}}
     {"two_point": {"a": A, "pa": PA, "b": B, "pb": PB}}
 
-plus an optional top-level "tail_eps" for truncated families. The rules
-for indices and numbers are those of ``pmf.make_pmf`` and
-``pmf.poisson_family``, which get the values as parsed: indices are JSON
-integers >= 0 or integral floats up to 2**53, every other value is a
-JSON number, and bools and strings are rejected.
+plus an optional top-level "tail_eps" for truncated families, checked
+for every variant. The rules for indices and numbers are those of
+``pmf.make_pmf`` and ``pmf.poisson_family``, which get the values as
+parsed: indices are JSON integers >= 0 or integral floats up to 2**53,
+every other value is a JSON number, and bools and strings are rejected.
 
 Exit codes: 0 success, 2 validation or usage error, 1 internal error.
 A spec that is unreadable or malformed in any shape, a library error, a
@@ -36,7 +36,9 @@ import click
 from .approximation import DEFAULT_N_REPORT, build_report, thinned_reference
 from .errors import InvalidParameterError, PhotonThinError
 from .montecarlo import McConfig, simulate_thinned
-from .pmf import _MAX_KERNEL_N, DEFAULT_TAIL_EPS, Pmf, _as_real, make_pmf, moments, poisson_family
+from .pmf import (
+    _MAX_KERNEL_N, DEFAULT_TAIL_EPS, Pmf, _as_tail_eps, make_pmf, moments, poisson_family,
+)
 from .thinning import eta_for_target_lambda, thin_direct
 
 _TABLE1_LAMBDA = 0.1
@@ -58,8 +60,9 @@ def load_source_spec(path: str | Path, tail_eps: float | None = None) -> Pmf:
             "spec must contain exactly one of 'table', 'poisson', 'two_point'"
         )
     if tail_eps is None:
-        # Checked here too, since only the poisson variant reads it.
-        tail_eps = _as_real("tail_eps", data.get("tail_eps", DEFAULT_TAIL_EPS))
+        tail_eps = data.get("tail_eps", DEFAULT_TAIL_EPS)
+    # Checked for every variant, though only the poisson one reads it.
+    tail_eps = _as_tail_eps(tail_eps)
 
     variant = variants[0]
     body = data[variant]

@@ -73,6 +73,14 @@ def _as_real(name: str, value: object) -> float:
         raise InvalidParameterError(f"{name} {value!r} is out of range") from None
 
 
+def _as_tail_eps(tail_eps: object) -> float:
+    """tail_eps as a float in (0, 1e-6]; the one rule for every spec variant."""
+    tail_eps = _as_real("tail_eps", tail_eps)
+    if not (0.0 < tail_eps <= _MAX_TAIL_EPS):
+        raise InvalidParameterError(f"tail_eps must lie in (0, {_MAX_TAIL_EPS}], got {tail_eps!r}")
+    return tail_eps
+
+
 class CompensatedSum:
     """Running Neumaier-compensated sum.
 
@@ -236,7 +244,7 @@ def poisson_family(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
 
     The truncation index is the smallest n_max whose upper-tail mass is
     at most ``tail_eps``; the retained masses are NOT renormalized, and
-    ``tail_defect`` records exactly what was cut.
+    ``tail_defect`` is the sum of the terms dropped past n_max.
 
     Args:
         mu: Poisson mean, must be positive and finite.
@@ -244,48 +252,36 @@ def poisson_family(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
 
     Raises:
         InvalidParameterError: if ``mu`` or ``tail_eps`` is out of range,
-            or the table would reach past the kernel bound.
+            or the table would reach past the kernel bound or stay above
+            ``tail_eps`` * 2**-53 up to it (mean 1e4, ``tail_eps`` 1e-300).
     """
-    mu, tail_eps = _as_real("poisson mean", mu), _as_real("tail_eps", tail_eps)
+    mu, tail_eps = _as_real("poisson mean", mu), _as_tail_eps(tail_eps)
     if not (math.isfinite(mu) and mu > 0.0):
         raise InvalidParameterError(f"poisson mean must be positive, got {mu!r}")
-    if not (0.0 < tail_eps <= _MAX_TAIL_EPS):
-        raise InvalidParameterError(
-            f"tail_eps must lie in (0, {_MAX_TAIL_EPS}], got {tail_eps!r}"
-        )
     log_mu = math.log(mu)
     hard_cap = int(mu + 20.0 * math.sqrt(mu + 1.0) + 400.0)
     if hard_cap > _MAX_KERNEL_N:
         raise InvalidParameterError(f"poisson mean {mu!r} reaches past index {_MAX_KERNEL_N}")
-    acc = CompensatedSum()
+    # Past the mean, n > mu, each term is at most mu / (n + 1) times the
+    # one before, so the terms after n sum to at most m_n mu / (n + 1 - mu).
+    # The walk stops once that bound is below tail_eps * 2**-53: what it
+    # leaves unwalked cannot move any tail of at most tail_eps.
     masses: list[float] = []
-    # Past the mean, n + 1 > mu, each term is at most mu / (n + 2) times
-    # the one before, so the masses after n sum to at most
-    # m_{n+1} (n + 2) / (n + 2 - mu). When the sum stays short of the
-    # target by more than twice that (for the rounding of each mass) plus
-    # 1e-15, the walk to hard_cap cannot reach it either, and it stops.
-    # The test runs at the first term past the mean and every 64 terms
-    # after, so walks that succeed pay for it at most a few times.
-    check_at = int(mu)
     for n in range(hard_cap + 1):
         mass = math.exp(-mu + n * log_mu - math.lgamma(n + 1))
         masses.append(mass)
-        acc.add(mass)
-        short = 1.0 - acc.value
-        if short <= tail_eps:
+        if n > mu and mass * mu < tail_eps * 2.0**-53 * (n + 1 - mu):
             break
-        if n == check_at:
-            check_at += 64
-            rest = mass * mu / (n + 1) * (n + 2) / (n + 2 - mu)
-            if short - 2.0 * rest - 1e-15 > tail_eps:
-                break
-    if short > tail_eps:
+    else:
         raise InvalidParameterError(
-            f"could not reach tail mass {tail_eps} within {hard_cap} terms"
+            f"poisson mean {mu!r}: terms stay above tail_eps * 2**-53 up to index {hard_cap}"
         )
-    entries = tuple((n, m) for n, m in enumerate(masses))
-    tail = max(0.0, 1.0 - math.fsum(masses))
-    return Pmf(entries, tail_defect=tail)
+    # The cut is the sum of the dropped terms, added smallest first; one
+    # minus the kept masses would sit under their rounding.
+    tail = 0.0
+    while tail + masses[-1] <= tail_eps:
+        tail += masses.pop()
+    return Pmf(tuple(enumerate(masses)), tail_defect=tail)
 
 
 def moments(p: Pmf) -> MomentSummary:

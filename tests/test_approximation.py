@@ -58,6 +58,15 @@ class TestBuildReport:
         r = build_report(p, eta)
         assert all(abs(d) <= 1e-12 for d in r.delta)
 
+    def test_bright_point_mass_reports_at_every_integer_lambda(self):
+        # A reference Poisson whose cut was inferred as one minus its
+        # masses raised "could not reach tail mass" at 44 of these.
+        p = make_pmf([(1000, 1.0)])
+        for lam in range(50, 151):
+            assert build_report(p, lam / 1000).lam == pytest.approx(lam, rel=1e-15)
+            _, ref, _ = thinned_reference(p, lam / 1000)
+            assert ref.tail_defect <= 1e-14
+
     def test_delta_length_follows_n_report(self):
         p = make_pmf([(1, 1.0)])
         assert len(build_report(p, 0.1, n_report=4).delta) == 5

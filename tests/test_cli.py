@@ -145,6 +145,24 @@ class TestSpecNumbers:
         result = runner.invoke(cli, ["moments", spec])
         assert result.exit_code == 2, result.output
 
+    @pytest.mark.parametrize(
+        "variant",
+        [{"table": [[1, 1.0]]}, EX3_SPEC, {"poisson": {"mu": 5}}],
+        ids=["table", "two_point", "poisson"],
+    )
+    @pytest.mark.parametrize(
+        "in_file, value",
+        [(True, -5), (True, 1e-3), (True, "1e-12"), (False, "-5"), (False, "nan")],
+        ids=["file_negative", "file_above_1e-6", "file_string", "option_negative", "option_nan"],
+    )
+    def test_bad_tail_eps_exits_2(self, runner, tmp_path, variant, in_file, value):
+        # The one tail_eps rule holds though only the poisson variant reads it.
+        payload = {**variant, "tail_eps": value} if in_file else variant
+        option = [] if in_file else ["--tail-eps", value]
+        result = runner.invoke(cli, ["moments", write_spec(tmp_path, payload), *option])
+        assert_one_error_line(result)
+        assert "tail_eps" in result.stderr
+
     def test_integral_float_index(self, runner, tmp_path):
         as_float = runner.invoke(cli, ["moments", write_spec(tmp_path, {"table": [[3.0, 1.0]]})])
         as_int = runner.invoke(cli, ["moments", write_spec(tmp_path, {"table": [[3, 1.0]]})])

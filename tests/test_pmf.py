@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from photonthin import (
     thin_via_gf,
     tv_distance,
 )
-from photonthin.pmf import _MAX_KERNEL_N, CompensatedSum, Pmf, _log_factorials
+from photonthin.pmf import _MAX_KERNEL_N, _log_factorials
 
 # Frozen oracle values (independent routes, see each test).
 EX3_PAIRS = [(1, 0.95), (1001, 0.05)]
@@ -133,35 +134,45 @@ class TestPoissonFamily:
         with pytest.raises(InvalidParameterError):
             poisson_family(mu, eps)
 
-    @pytest.mark.parametrize(
-        ("mus", "eps"),
-        [(np.geomspace(1, 2000, 300), 1e-14), (np.arange(500, 10001, 250), 1e-12)],
-        ids=["geomspace_1e-14", "arange_1e-12"],
-    )
-    def test_early_stop_agrees_with_walk_to_hard_cap(self, mus, eps):
-        # The stop past the mean may only end walks that would fail: each
-        # mean raises exactly when the full walk does, with the same table
-        # otherwise. Both grids hold means where the walk fails today.
-        for mu in mus.tolist():
-            want = _walk_to_hard_cap(mu, eps)
-            if want is None:
-                with pytest.raises(InvalidParameterError, match="could not reach tail mass"):
-                    poisson_family(mu, eps)
-            else:
-                assert poisson_family(mu, eps) == want, mu
+    @pytest.mark.parametrize("eps", [1e-14, 1e-12])
+    @pytest.mark.parametrize("grid", ["geomspace", "arange"])
+    def test_cut_against_incomplete_gamma(self, grid, eps):
+        # Both grids hold means where a cut inferred as one minus the kept
+        # masses raised, or cut more than it reported.
+        for mu in POISSON_GRIDS[grid]:
+            _check_poisson_table(mu, eps)
+
+    @pytest.mark.parametrize("eps", [1e-17, 1e-30, 1e-300])
+    @pytest.mark.parametrize("mu", [0.1, 5.0, 50.0])
+    def test_tail_eps_below_mass_rounding(self, mu, eps):
+        _check_poisson_table(mu, eps)
+
+    def test_tail_eps_out_of_reach_raises(self):
+        # The terms of Poisson(1e4) stay above 1e-300 * 2**-53 up to hard_cap.
+        with pytest.raises(InvalidParameterError, match=r"tail_eps \* 2\*\*-53"):
+            poisson_family(1e4, 1e-300)
 
 
-def _walk_to_hard_cap(mu, eps):
-    """poisson_family's table from a walk without the early stop, or None."""
-    hard_cap = int(mu + 20.0 * math.sqrt(mu + 1.0) + 400.0)
-    acc = CompensatedSum()
-    masses = []
-    for n in range(hard_cap + 1):
-        masses.append(math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1)))
-        acc.add(masses[-1])
-        if 1.0 - acc.value <= eps:
-            return Pmf(tuple(enumerate(masses)), tail_defect=max(0.0, 1.0 - math.fsum(masses)))
-    return None
+POISSON_GRIDS = {
+    "geomspace": np.geomspace(1, 2000, 300).tolist(),
+    "arange": np.arange(500, 10001, 250).tolist(),
+}
+
+
+def _check_poisson_table(mu, eps):
+    """poisson_family(mu, eps) against the closed form and mpmath's tail."""
+    p = poisson_family(mu, eps)
+    n_max = p.max_index
+    assert p.support == tuple(range(n_max + 1))
+    log_mu = math.log(mu)
+    for n, m in p.entries:
+        assert m == math.exp(-mu + n * log_mu - math.lgamma(n + 1)), (mu, n)
+    with mpmath.workdps(30):
+        cut = float(mpmath.gammainc(n_max + 1, 0, mu, regularized=True))
+    assert cut <= eps, mu
+    assert p.tail_defect == pytest.approx(cut, rel=1e-10, abs=0.0), mu
+    # One entry fewer would cut more than eps, so n_max is the smallest.
+    assert p.masses[-1] + p.tail_defect > eps, mu
 
 
 class TestMoments:
