@@ -5,14 +5,8 @@ approximation error certificates, multi-photon risk estimation, and a
 seeded Monte Carlo cross-check.
 """
 
-from .approximation import (
-    ApproxReport,
-    build_report,
-    predicted_delta,
-    risk_approx,
-    risk_exact,
-    thinned_reference,
-)
+import importlib
+
 from .errors import (
     AllVacuumError,
     DegenerateLambdaError,
@@ -26,18 +20,28 @@ from .errors import (
     TermOverflowError,
     ZeroMeanError,
 )
-from .montecarlo import McConfig, McResult, simulate_thinned
 from .pmf import (
     AttenuationCoefficient,
     MomentSummary,
     Pmf,
-    gf_derivative,
     make_pmf,
     moments,
     poisson_family,
     tv_distance,
 )
-from .thinning import eta_for_target_lambda, thin_direct, thin_via_gf
+
+# Names of the numpy kernels, by module. They are imported on first
+# access (PEP 562), so that importing the package, or a CLI command that
+# needs none of them, does not load numpy.
+_LAZY = {
+    "approximation": (
+        "ApproxReport", "build_report", "predicted_delta", "risk_approx", "risk_exact",
+        "thinned_reference",
+    ),
+    "montecarlo": ("McConfig", "McResult", "simulate_thinned"),
+    "thinning": ("eta_for_target_lambda", "gf_derivative", "thin_direct", "thin_via_gf"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "ApproxReport",
@@ -72,3 +76,17 @@ __all__ = [
     "TermOverflowError",
     "ZeroMeanError",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    # Cached, so that later lookups are plain global reads.
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY_MODULE))

@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import AllVacuumError, DegenerateLambdaError, InvalidParameterError
-from .pmf import _MAX_KERNEL_N, Pmf, _as_int, moments, poisson_family
+from .pmf import _MAX_KERNEL_N, DEFAULT_N_REPORT, Pmf, _as_int, moments, poisson_family
 from .thinning import AttenuationCoefficient, _as_eta, thin_direct
 
 _REFERENCE_TAIL_EPS = 1e-14
-DEFAULT_N_REPORT = 10
 
 
 @dataclass(frozen=True)

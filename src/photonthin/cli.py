@@ -33,13 +33,11 @@ from pathlib import Path
 
 import click
 
-from .approximation import DEFAULT_N_REPORT, build_report, thinned_reference
 from .errors import InvalidParameterError, PhotonThinError
-from .montecarlo import McConfig, simulate_thinned
 from .pmf import (
-    _MAX_KERNEL_N, DEFAULT_TAIL_EPS, Pmf, _as_tail_eps, make_pmf, moments, poisson_family,
+    _MAX_KERNEL_N, DEFAULT_N_REPORT, DEFAULT_TAIL_EPS, Pmf, _as_tail_eps, make_pmf, moments,
+    poisson_family,
 )
-from .thinning import eta_for_target_lambda, thin_direct
 
 _TABLE1_LAMBDA = 0.1
 _TABLE1_C_TARGETS = (0.45, 0.30, 0.18, 0.11, 0.05, -0.016)
@@ -108,6 +106,8 @@ def wide_input() -> Pmf:
     the emitted datasets; the silhouette is a documented stand-in for an
     unspecified broad lab source.
     """
+    from .thinning import thin_direct
+
     low = thin_direct(make_pmf([(600, 1.0)]), 0.55)
     high = thin_direct(make_pmf([(1000, 1.0)]), 0.647)
     top = max(low.max_index, high.max_index)
@@ -172,6 +172,8 @@ def _eta_input(command):
         if (eta is None) == (target_lambda is None):
             raise InvalidParameterError("exactly one of --eta / --target-lambda is required")
         if eta is None:
+            from .thinning import eta_for_target_lambda
+
             eta = eta_for_target_lambda(pmf, target_lambda).eta
         return command(pmf, eta, **kwargs)
 
@@ -231,6 +233,8 @@ def cmd_thin(pmf: Pmf, eta: float, n_report: int, out: str) -> None:
     Columns: n, p_eta, p_poisson, delta for n = 0..n-report. Prints the
     resolved lambda and eta as JSON on stdout.
     """
+    from .approximation import thinned_reference
+
     q, ref, lam = thinned_reference(pmf, eta)
     rows = [
         [n, q.mass(n), ref.mass(n), q.mass(n) - ref.mass(n)]
@@ -245,6 +249,8 @@ def cmd_thin(pmf: Pmf, eta: float, n_report: int, out: str) -> None:
 @_n_report_option
 def cmd_report(pmf: Pmf, eta: float, n_report: int) -> None:
     """Print the full approximation report as JSON."""
+    from .approximation import build_report
+
     report = build_report(pmf, eta, n_report)
     click.echo(
         json.dumps(
@@ -267,7 +273,13 @@ def cmd_report(pmf: Pmf, eta: float, n_report: int) -> None:
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=42, show_default=True)
 @click.option("--trials", type=click.IntRange(1), default=1_000_000, show_default=True)
 def cmd_mc(pmf: Pmf, eta: float, seed: int, trials: int) -> None:
-    """Simulate pulses through the attenuator and print diagnostics."""
+    """Simulate pulses through the attenuator and print diagnostics.
+
+    The input's tail defect must be at most 1e-09: a poisson spec needs
+    a tail_eps of 1e-09 or less.
+    """
+    from .montecarlo import McConfig, simulate_thinned
+
     result = simulate_thinned(pmf, eta, McConfig(seed=seed, trials=trials))
     click.echo(
         json.dumps(
@@ -291,6 +303,9 @@ def cmd_table1(out: str) -> None:
     -0.00016 at an attenuated mean of 0.1; columns are lambda2C and the
     observed deviations delta0..delta4.
     """
+    from .approximation import build_report
+    from .thinning import eta_for_target_lambda
+
     rows = []
     for pmf in table1_inputs():
         eta = eta_for_target_lambda(pmf, _TABLE1_LAMBDA)
@@ -318,6 +333,9 @@ def cmd_figures(out_dir: str) -> None:
     two-point input down to a mean of 0.1, the regime where the Poisson
     approximation visibly fails. Prints eta and lambda per file as JSON.
     """
+    from .approximation import thinned_reference
+    from .thinning import eta_for_target_lambda
+
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     wide = wide_input()

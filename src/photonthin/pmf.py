@@ -7,10 +7,10 @@ instead of being renormalized, so downstream tolerance budgets can track
 it explicitly.
 
 All sums that feed invariants (normalization, moments) are accumulated
-with full-precision summation (``math.fsum``) in ascending index order;
-anything involving factorials or binomial coefficients goes through one
-log-space term helper over a shared log-factorial table, to avoid
-overflow at support points in the thousands.
+with full-precision summation (``math.fsum``) in ascending index order.
+The module is pure Python: numpy is imported only by :meth:`Pmf.arrays`,
+for the kernels of :mod:`photonthin.thinning`, which hold the log-space
+binomial term helper and its log-factorial table.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DuplicateIndexError,
@@ -31,23 +30,21 @@ from .errors import (
     ZeroMeanError,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # Ingestion tolerance: user data is lossy decimal. Internal ops target 1e-12.
 NORMALIZATION_TOL = 1e-9
 DEFAULT_TAIL_EPS = 1e-12
 _MAX_TAIL_EPS = 1e-6
-
-# Largest exponent math.exp accepts; beyond it results degrade to inf.
-_MAX_LOG = math.log(sys.float_info.max)
 
 # Largest outcome index the kernels take: thinning, reports, Poisson
 # references and Monte Carlo. Its log(k!) table is 8 MB and takes about
 # 0.3 s to build; any Pmf index up to 2**63 - 1 is fine elsewhere.
 _MAX_KERNEL_N = 2**20
 
-# Read-only log(k!) for k < len(_LOG_FACTORIALS). _log_factorials grows it
-# by replacing the array, never writing into it, so a caller in another
-# thread always holds a complete table.
-_LOG_FACTORIALS = np.zeros(1)
+# Largest outcome of a report's per-outcome series unless asked otherwise.
+DEFAULT_N_REPORT = 10
 
 
 def _as_int(name: str, value: object) -> int:
@@ -79,6 +76,16 @@ def _as_tail_eps(tail_eps: object) -> float:
     if not (0.0 < tail_eps <= _MAX_TAIL_EPS):
         raise InvalidParameterError(f"tail_eps must lie in (0, {_MAX_TAIL_EPS}], got {tail_eps!r}")
     return tail_eps
+
+
+def _other_integer(n: object) -> bool:
+    """Whether n, of a type other than int, is an int subclass or a numpy
+    integer, but no bool. numpy is looked up, not imported: while it is
+    not loaded, no numpy integer can exist."""
+    if isinstance(n, bool):
+        return False
+    np = sys.modules.get("numpy")
+    return isinstance(n, int) or (np is not None and isinstance(n, np.integer))
 
 
 class CompensatedSum:
@@ -139,7 +146,7 @@ class Pmf:
     def __post_init__(self) -> None:
         prev = -1
         for n, mass in self.entries:
-            if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            if type(n) is not int and not _other_integer(n):
                 raise InvalidParameterError(f"outcome index {n!r} is not an integer")
             if n < 0:
                 raise InvalidParameterError(f"outcome index {n} is negative")
@@ -197,6 +204,8 @@ class Pmf:
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         sup = np.asarray(self.support, dtype=np.int64)
         mas = np.asarray(self.masses, dtype=np.float64)
         sup.setflags(write=False)
@@ -314,71 +323,6 @@ def moments(p: Pmf) -> MomentSummary:
     c = (variance - mean) / (2.0 * mean * mean)
     d = m3 / mean**3
     return MomentSummary(mean=mean, variance=variance, m3=m3, c=c, d=d)
-
-
-def gf_derivative(p: Pmf, order: int, z: float) -> float:
-    """Order-th derivative of the probability generating function at z.
-
-    Computes sum over N >= order of N!/(N-order)! * p(N) * z^(N-order).
-    Every term is evaluated in log space by :func:`_log_terms` and the
-    terms, all nonnegative, are combined by max-shifted exponential
-    summation; a result past the float range degrades to inf.
-    """
-    order, z = _as_int("derivative order", order), _as_real("evaluation point", z)
-    if not 0 <= order < 2**63:
-        raise InvalidParameterError(f"derivative order must lie in [0, 2**63), got {order!r}")
-    if not (0.0 <= z <= 1.0):
-        raise InvalidParameterError(f"evaluation point must lie in [0, 1], got {z!r}")
-    log_z = math.log(z) if z > 0.0 else -math.inf
-    return _exp_or_inf(_log_sum_exp(_log_terms(p, order, log_z)))
-
-
-def _log_factorials(k_max: int) -> np.ndarray:
-    """Read-only log(k!) from math.lgamma for k = 0..k_max at least; k_max <= _MAX_KERNEL_N."""
-    global _LOG_FACTORIALS
-    table = _LOG_FACTORIALS
-    if len(table) <= k_max:
-        if k_max > _MAX_KERNEL_N:
-            raise InvalidParameterError(f"outcome index {k_max} exceeds {_MAX_KERNEL_N}")
-        size = min(max(k_max + 1, 2 * len(table)), _MAX_KERNEL_N + 1)
-        table = np.array([math.lgamma(k + 1.0) for k in range(size)])
-        table.setflags(write=False)
-        _LOG_FACTORIALS = table
-    return table
-
-
-def _log_terms(p: Pmf, n: int | np.ndarray, log_z: float) -> np.ndarray:
-    """log(N!/(N-n)! * p(N) * z^(N-n)) for every atom N of ``p``.
-
-    The one place a falling factorial, or with log(eta^n / n!) added a
-    binomial term, is formed. ``n`` is an int or a column of ints (one
-    row each); cells with N < n or zero mass are -inf. z = 0 is passed
-    as ``log_z = -inf`` and leaves only N = n finite.
-    """
-    sup, mas = p.arrays()
-    lf = _log_factorials(p.max_index)
-    lag = sup - n
-    valid = lag >= 0
-    lag = np.where(valid, lag, 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        power = np.where(lag > 0, lag * log_z, 0.0)
-        log_terms = lf[sup] - lf[lag] + power + np.log(mas)
-    return np.where(valid, log_terms, -np.inf)
-
-
-def _log_sum_exp(log_terms: np.ndarray) -> float:
-    """log of the sum of exp(log_terms), via a max shift; -inf when empty."""
-    shift = float(np.max(log_terms, initial=-np.inf))
-    if shift == -np.inf:
-        return shift
-    return shift + math.log(float(np.exp(log_terms - shift).sum()))
-
-
-def _exp_or_inf(log_value: float) -> float:
-    """exp that degrades to inf instead of raising past the float range."""
-    if log_value > _MAX_LOG:
-        return math.inf
-    return math.exp(log_value)
 
 
 def tv_distance(p: Pmf, q: Pmf) -> float:

@@ -3,28 +3,28 @@
 ``thin_direct`` is the reference implementation: it sums the binomial
 decay kernel over the input support. ``thin_via_gf`` reaches the same
 distribution through derivatives of the generating function evaluated at
-1 - eta. Both form their terms with the one log-space helper of
-:mod:`photonthin.pmf`; independent checks of that helper are the
-high-precision reference tests, the semigroup property and the Monte
-Carlo oracle.
+1 - eta. This module is the home of the one log-space term helper that
+both routes and :func:`gf_derivative` form their terms with, over a
+shared log-factorial table, to avoid overflow at support points in the
+thousands; independent checks of that helper are the high-precision
+reference tests, the semigroup property and the Monte Carlo oracle.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .errors import InvalidParameterError, TargetExceedsMeanError
 from .pmf import (
+    _MAX_KERNEL_N,
     AttenuationCoefficient,
     CompensatedSum,
     Pmf,
     _as_int,
     _as_real,
-    _log_factorials,
-    _log_sum_exp,
-    _log_terms,
 )
 
 # Output truncation: stop once the cumulative mass is within this of
@@ -37,6 +37,79 @@ _CHUNK_CELLS = 4_000_000
 
 # Rows in the first chunk of thin_direct; later chunks double up to the cap.
 _FIRST_CHUNK_ROWS = 32
+
+# Largest exponent math.exp accepts; beyond it results degrade to inf.
+_MAX_LOG = math.log(sys.float_info.max)
+
+# Read-only log(k!) for k < len(_LOG_FACTORIALS). _log_factorials grows it
+# by replacing the array, never writing into it, so a caller in another
+# thread always holds a complete table.
+_LOG_FACTORIALS = np.zeros(1)
+
+
+def _log_factorials(k_max: int) -> np.ndarray:
+    """Read-only log(k!) from math.lgamma for k = 0..k_max at least; k_max <= _MAX_KERNEL_N."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if len(table) <= k_max:
+        if k_max > _MAX_KERNEL_N:
+            raise InvalidParameterError(f"outcome index {k_max} exceeds {_MAX_KERNEL_N}")
+        size = min(max(k_max + 1, 2 * len(table)), _MAX_KERNEL_N + 1)
+        table = np.array([math.lgamma(k + 1.0) for k in range(size)])
+        table.setflags(write=False)
+        _LOG_FACTORIALS = table
+    return table
+
+
+def _log_terms(p: Pmf, n: int | np.ndarray, log_z: float) -> np.ndarray:
+    """log(N!/(N-n)! * p(N) * z^(N-n)) for every atom N of ``p``.
+
+    The one place a falling factorial, or with log(eta^n / n!) added a
+    binomial term, is formed. ``n`` is an int or a column of ints (one
+    row each); cells with N < n or zero mass are -inf. z = 0 is passed
+    as ``log_z = -inf`` and leaves only N = n finite.
+    """
+    sup, mas = p.arrays()
+    lf = _log_factorials(p.max_index)
+    lag = sup - n
+    valid = lag >= 0
+    lag = np.where(valid, lag, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = np.where(lag > 0, lag * log_z, 0.0)
+        log_terms = lf[sup] - lf[lag] + power + np.log(mas)
+    return np.where(valid, log_terms, -np.inf)
+
+
+def _log_sum_exp(log_terms: np.ndarray) -> float:
+    """log of the sum of exp(log_terms), via a max shift; -inf when empty."""
+    shift = float(np.max(log_terms, initial=-np.inf))
+    if shift == -np.inf:
+        return shift
+    return shift + math.log(float(np.exp(log_terms - shift).sum()))
+
+
+def _exp_or_inf(log_value: float) -> float:
+    """exp that degrades to inf instead of raising past the float range."""
+    if log_value > _MAX_LOG:
+        return math.inf
+    return math.exp(log_value)
+
+
+def gf_derivative(p: Pmf, order: int, z: float) -> float:
+    """Order-th derivative of the probability generating function at z.
+
+    Computes sum over N >= order of N!/(N-order)! * p(N) * z^(N-order).
+    Every term is evaluated in log space by :func:`_log_terms` and the
+    terms, all nonnegative, are combined by max-shifted exponential
+    summation; a result past the float range degrades to inf.
+    """
+    order, z = _as_int("derivative order", order), _as_real("evaluation point", z)
+    if not 0 <= order < 2**63:
+        raise InvalidParameterError(f"derivative order must lie in [0, 2**63), got {order!r}")
+    if not (0.0 <= z <= 1.0):
+        raise InvalidParameterError(f"evaluation point must lie in [0, 1], got {z!r}")
+    log_z = math.log(z) if z > 0.0 else -math.inf
+    return _exp_or_inf(_log_sum_exp(_log_terms(p, order, log_z)))
 
 
 def _as_eta(eta: float | AttenuationCoefficient) -> float:
@@ -108,7 +181,7 @@ def thin_via_gf(p: Pmf, eta: float | AttenuationCoefficient, n_max: int) -> Pmf:
 
     Output mass at n is (eta^n / n!) times the n-th derivative of the
     generating function at 1 - eta, for n = 0..n_max. The derivative is
-    kept as a log-sum of :func:`photonthin.pmf.gf_derivative`'s terms,
+    kept as a log-sum of :func:`photonthin.thinning.gf_derivative`'s terms,
     since it overflows the float range long before the product does. The
     defect is the inherited one plus whatever the n_max cutoff leaves of
     the input's total mass.

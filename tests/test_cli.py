@@ -326,6 +326,14 @@ class TestMcCommand:
         assert result.exit_code == 0
         assert json.loads(result.output)["tv_to_analytic"] <= 0.003
 
+    def test_tail_limit_is_stricter_than_report(self, runner, tmp_path):
+        spec = write_spec(tmp_path, {"poisson": {"mu": 5}, "tail_eps": 1e-7})
+        assert runner.invoke(cli, ["report", spec, "--target-lambda", "0.1"]).exit_code == 0
+        result = runner.invoke(cli, ["mc", spec, "--target-lambda", "0.1", "--trials", "1000"])
+        assert_one_error_line(result)
+        assert "exceeds 1e-09" in result.stderr
+        assert "1e-09" in runner.invoke(cli, ["mc", "--help"]).output
+
 
 class TestTable1Command:
     def test_ladder_values_and_envelope(self, runner, tmp_path):
@@ -496,19 +504,23 @@ class TestCsvRoundTrip:
                 assert repr(value) == token  # shortest round-trip form
 
 
-def _modules_after_cli_import(package):
-    """Modules of package loaded by `import photonthin.cli` in a fresh interpreter."""
+def _run_fresh(code, *args):
+    """stdout of ``python -c code args`` in a fresh interpreter with the source tree on the path."""
     src = str(Path(photonthin.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
+    run = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return run.stdout.strip()
+
+
+def _modules_after_cli_import(package):
+    """Modules of package loaded by `import photonthin.cli` in a fresh interpreter."""
+    return _run_fresh(
         "import sys, photonthin.cli; "
         f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     )
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return run.stdout.strip()
 
 
 class TestImports:
@@ -518,3 +530,63 @@ class TestImports:
     def test_cli_import_leaves_the_thread_pool_out(self):
         # concurrent.futures is imported only when simulate_thinned runs a pool.
         assert _modules_after_cli_import("concurrent") == "[]"
+
+    def test_cli_import_leaves_numpy_out(self):
+        assert _modules_after_cli_import("numpy") == "[]"
+
+    def test_moments_runs_without_numpy(self, tmp_path):
+        spec = write_spec(tmp_path, {"table": [[0, 0.25], [3, 0.5], [7, 0.25]]})
+        out = _run_fresh(
+            "import sys\n"
+            "from photonthin.cli import main\n"
+            "try:\n"
+            "    main()\n"
+            "finally:\n"
+            "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))",
+            "moments",
+            spec,
+        )
+        assert out.splitlines() == [
+            '{"mean": 3.25, "var": 6.1875, "m3": 55.5, "c": 0.1390532544378698, '
+            '"d": 1.6167501137915339}',
+            "[]",
+        ]
+
+    def test_kernels_load_on_first_use(self):
+        out = _run_fresh(
+            "import sys\n"
+            "import photonthin as pt\n"
+            "print('numpy' in sys.modules)\n"
+            "p = pt.make_pmf([(1, 0.95), (1001, 0.05)])\n"
+            "print(pt.thin_direct(p, 0.5).mean)\n"
+            "print(pt.build_report(p, 0.001).lam)\n"
+            "print(pt.simulate_thinned(p, 0.5, pt.McConfig(seed=1, trials=10)).trials)\n"
+            "print(all(getattr(pt, name) is not None for name in pt.__all__))"
+        )
+        p = photonthin.make_pmf([(1, 0.95), (1001, 0.05)])
+        assert out.splitlines() == [
+            "False",
+            repr(photonthin.thin_direct(p, 0.5).mean),
+            repr(photonthin.build_report(p, 0.001).lam),
+            "10",
+            "True",
+        ]
+
+
+class TestPackageNames:
+    def test_every_exported_name_resolves_and_is_listed(self):
+        listed = dir(photonthin)
+        for name in photonthin.__all__:
+            assert getattr(photonthin, name) is not None
+            assert name in listed
+
+    def test_star_import_binds_every_exported_name(self):
+        namespace = {}
+        exec("from photonthin import *", namespace)
+        assert set(photonthin.__all__) <= set(namespace)
+        assert namespace["thin_direct"] is photonthin.thinning.thin_direct
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            photonthin.no_such_name
+        assert not hasattr(photonthin, "no_such_name")

@@ -17,6 +17,7 @@ from photonthin import (
     McConfig,
     NegativeMassError,
     NotNormalizedError,
+    Pmf,
     ZeroMeanError,
     build_report,
     eta_for_target_lambda,
@@ -29,7 +30,8 @@ from photonthin import (
     thin_via_gf,
     tv_distance,
 )
-from photonthin.pmf import _MAX_KERNEL_N, _log_factorials
+from photonthin.pmf import _MAX_KERNEL_N
+from photonthin.thinning import _log_factorials
 
 # Frozen oracle values (independent routes, see each test).
 EX3_PAIRS = [(1, 0.95), (1001, 0.05)]
@@ -394,6 +396,12 @@ class TestInputContract:
         assert type(AttenuationCoefficient(np.float64(0.1)).eta) is float
         assert thin_direct(p, np.float64(0.1)) == thin_direct(p, 0.1)
         assert poisson_family(np.float64(5.0)) == poisson_family(5.0)
+
+    def test_pmf_index_is_int_or_numpy_int_never_bool(self):
+        assert Pmf(((np.int64(3), 1.0),)).support == (3,)
+        for n in (True, np.True_, 3.0):
+            with pytest.raises(InvalidParameterError):
+                Pmf(((n, 1.0),))
 
     def test_index_past_int64_rejected(self):
         for n in (2**63, 10**103):
