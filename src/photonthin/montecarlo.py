@@ -16,7 +16,11 @@ survivors on one of two paths:
   -log(1 - eta), lays the gaps end to end to find the surviving slots in
   ascending order, and counts how many of each pulse's N slots survive;
   pulses without a surviving slot count zero. The number of survivors
-  comes out Binomial(T, eta) with no draw of its own.
+  comes out Binomial(T, eta) with no draw of its own. Slot positions and
+  pulse ids are float64 holding integers, with no integer division: the
+  sums, differences and floored quotients the path forms stay exact
+  while (pulses + 1) * max N <= 2**53, which bounds a chunk at about
+  8.6e9 pulses at the kernel bound N = 2**20; float sums never wrap.
 - Dense, otherwise: binomial draws for the survivors of every pulse in
   ascending N, one scalar-n call for each atom carrying at least
   ``_OWN_CALL_PULSES`` pulses and one array-n call for each run of
@@ -43,8 +47,9 @@ bit generator, makes each draw cheaper. The path a chunk takes depends
 only on its own multinomial draw, so it too is the same for any number
 of workers. Dense chunks draw the same stream as before the sparse path
 existed; sparse chunks do not, so fixed-seed results with faint chunks
-differ from those of earlier versions. Reproducibility across numpy
-versions is not promised.
+differ from those of versions before the geometric gaps. Moving the slot
+positions from int64 to float64 changed no histogram. Reproducibility
+across numpy versions is not promised.
 """
 
 from __future__ import annotations
@@ -74,12 +79,14 @@ _OWN_CALL_PULSES = 1024
 # instead of pulse by pulse. The gap path costs an exponential draw and a
 # few operations per survivor, the pulse-by-pulse path a binomial draw
 # per pulse. On 250k pulses (ex3, Poisson 3 and 50, a point mass at 1;
-# 2 cores, numpy 2.4; medians of 15 chunks, three runs) the gap path
-# took 0.60-0.83 ms against 3.2-4.9 ms at lambda = 0.1, 1.2-1.9 against
-# 3.2-5.8 ms at 0.25 and 2.4-3.7 against 3.9-7.1 ms at 0.5, and
-# 6.5-9.0 against 3.7-9.3 ms at 1, where it is up to 2x slower. The two
-# cross between lambda 0.5 and 1, but no benchmark input lies between
-# 0.25 and 1, so the share stays. Either path gives the exact law, so the
+# 2 cores, numpy 2.4; medians of 15 chunks, three runs) the gap path, on
+# float64 slot positions, took 0.35-0.68 ms against 2.9-4.8 ms at
+# lambda = 0.1, 0.79-1.4 against 3.1-6.0 ms at 0.25 and 1.6-2.8 against
+# 3.6-7.5 ms at 0.5, and 4.3-8.2 against 3.5-8.3 ms at 1, where it is up
+# to 1.3x slower on ex3 and the point mass. The two cross between lambda
+# 0.5 and 1, but no benchmark input lies between 0.25 and 1, and moving
+# the share would change the fixed-seed output of every chunk that
+# switches path, so it stays. Either path gives the exact law, so the
 # share moves only time.
 _SPARSE_SURVIVOR_SHARE = 0.25
 
@@ -157,8 +164,8 @@ def simulate_thinned(
         InvalidParameterError: workers is not an integer >= 1, eta is
             not in [0, 1], the input's tail defect exceeds 1e-9, the
             input table is empty or reaches past the kernel bound 2**20,
-            or a chunk's photon count could reach 2**63
-            (min(chunk_size, trials) times the largest N).
+            or (min(chunk_size, trials) + 1) times the largest N exceeds
+            2**53, past which float64 slot positions are not exact.
     """
     workers = _as_int("workers", workers)
     if workers < 1:
@@ -172,12 +179,13 @@ def simulate_thinned(
         raise InvalidParameterError("cannot sample from an empty table")
     if p.max_index > _MAX_KERNEL_N:
         raise InvalidParameterError(f"outcome index {p.max_index} exceeds {_MAX_KERNEL_N}")
-    # A chunk counts its photon slots in int64, which must not wrap.
+    # A sparse chunk places its photon slots in float64, exact while every
+    # slot offset o and o + N stay at most 2**53; see _sparse_survivors.
     chunk_pulses = min(cfg.chunk_size, cfg.trials)
-    if chunk_pulses * p.max_index >= 2**63:
+    if (chunk_pulses + 1) * p.max_index > 2**53:
         raise InvalidParameterError(
             f"a chunk of {chunk_pulses} pulses of up to {p.max_index} photons "
-            "could hold 2**63 photons or more"
+            "is too large: (pulses + 1) * max N must be at most 2**53"
         )
 
     sup, mas = p.arrays()
@@ -238,7 +246,7 @@ def _simulate_chunk(
     rng = np.random.Generator(np.random.PCG64(ss))
 
     groups = rng.multinomial(n_trials, pvals)
-    # simulate_thinned keeps n_trials * max N below 2**63, so the int64
+    # simulate_thinned keeps n_trials * max N below 2**53, so the int64
     # products and their sum cannot wrap.
     photons = int(groups @ sup)
     if eta * photons <= _SPARSE_SURVIVOR_SHARE * n_trials:
@@ -304,27 +312,35 @@ def _sparse_survivors(
     photon_end = np.cumsum(widths)
     # How many surviving slots each atom holds; an atom without slots
     # (N = 0 or no pulses) holds none, so nothing divides by N = 0.
-    held = np.diff(np.searchsorted(pulse, photon_end), prepend=0)
-    # Slot to pulse in place: offset within the atom plus the atom's first
-    # pulse times N, over N, which is offset // N plus that first pulse.
-    # Every term stays below pulses times N < 2**63. Temporaries are kept
-    # few, since heap pages freed by one chunk can go back to the system
-    # and fault again in the next.
+    ends = np.searchsorted(pulse, photon_end)
+    held = ends - np.concatenate(([0], ends[:-1]))
+    # Slot to pulse in place: the slot's offset within its atom plus the
+    # atom's first pulse times N, over N, floored. simulate_thinned keeps
+    # (pulses + 1) * max N <= 2**53, so every term is an integer that
+    # float64 holds exactly, and for an offset o = q * N + r the quotient
+    # o / N rounds into [q, q + 1): with q + 1 <= 2**53 / N the doubles
+    # below q + 1 are spaced less than 2 / N apart, and o / N lies at
+    # least 1 / N below it. The slots are rewritten in place: heap pages
+    # freed by one chunk can go back to the system and fault in the next.
     first_pulse = np.cumsum(groups) - groups
-    pulse -= np.repeat(photon_end - widths - first_pulse * sup, held)
-    pulse //= np.repeat(sup, held)
-    # Slots are sorted, so each pulse hit owns one run of equal ids.
-    new = np.empty(survivors, dtype=bool)
-    new[0] = True
-    np.not_equal(pulse[1:], pulse[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    hits = starts.size
-    # Run lengths into pulse's first entries, which are read by then.
-    runs = pulse[:hits]
-    np.subtract(starts[1:], starts[:-1], out=runs[:-1])
-    runs[-1] = survivors - starts[-1]
-    hist = np.bincount(runs)
+    pulse -= np.repeat((photon_end - widths - first_pulse * sup).astype(np.float64), held)
+    pulse /= np.repeat(sup.astype(np.float64), held)
+    np.floor(pulse, out=pulse)
+    # Slots are sorted, so each pulse hit owns one run of equal ids. Most
+    # runs hold one slot, so only the repeats, slots whose id equals the
+    # one before, are located: a run of L >= 2 slots leaves L - 1
+    # consecutive repeats.
+    repeat = np.flatnonzero(pulse[1:] == pulse[:-1])
+    first = np.empty(repeat.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(repeat[1:] - 1, repeat[:-1], out=first[1:])
+    bounds = np.append(np.flatnonzero(first), repeat.size)
+    hist = np.bincount(bounds[1:] - bounds[:-1] + 1, minlength=2)
+    # Each repeat adds a slot to a pulse already hit; the pulses hit in
+    # no run of two or more hold one slot each.
+    hits = survivors - repeat.size
     hist[0] = n_trials - hits
+    hist[1] = hits - (bounds.size - 1)
     return hist
 
 
@@ -347,35 +363,32 @@ def _bernoulli_slots(rng: np.random.Generator, size: int, eta: float) -> np.ndar
     past the last slot; draws of as many more continue from the last slot
     kept for as long as they fall short.
 
-    Positions are summed in uint64 with every gap capped at 2**63, which
-    leaves a gap past the end past it, since size < 2**63. Every sum up
-    to the first position past the end is then exact and below 2**64, so
-    the cut falls there even where later sums wrap, and no slot count
-    that int64 holds wraps. Each draw's gaps, their ceilings and the
-    positions share one buffer, read as float64 and then as uint64:
-    buffers this size, freed chunk by chunk, go back to the system and
-    fault in again.
+    The slots are float64 holding integers, exact for size < 2**53. Every
+    gap is an integer, and every position up to the last one kept is at
+    most size, so the float cumsum forms them exactly. The first position
+    past the end is a correctly rounded sum of integers whose exact value
+    is at least size + 1 <= 2**53, itself a float64, so it rounds to no
+    less and the cut falls after the last kept slot. Later sums can round,
+    or reach inf for gaps of eta near 0, but never decrease, so the
+    positions stay sorted for searchsorted. Each draw's gaps, their
+    ceilings and the positions share one buffer: buffers this size, freed
+    chunk by chunk, go back to the system and fault in again.
     """
     if not (eta and size):
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0)
     rate = -math.log1p(-eta) if eta < 1.0 else math.inf
     mean = eta * size
     count = int(mean + 6.0 * math.sqrt(mean)) + 16
     parts = []
     start = 0
     while start < size:
-        gaps = rng.standard_exponential(count)
-        np.divide(gaps, rate, out=gaps)
-        np.clip(gaps, 1.0, 2.0**63, out=gaps)
-        np.ceil(gaps, out=gaps)
-        # Cast in place: a ufunc casting into this view would copy its
-        # input first, and copyto does not.
-        ends = gaps.view(np.uint64)
-        np.copyto(ends, gaps, casting="unsafe")
+        ends = rng.standard_exponential(count)
+        np.divide(ends, rate, out=ends)
+        np.ceil(ends, out=ends)
+        np.maximum(ends, 1.0, out=ends)
         np.cumsum(ends, out=ends)
-        past = ends > size - start
-        kept = int(past.argmax()) if past.any() else count
-        slots = ends[:kept].view(np.int64)
+        kept = int(ends.searchsorted(size - start, side="right"))
+        slots = ends[:kept]
         slots += start - 1
         parts.append(slots)
         if kept < count:

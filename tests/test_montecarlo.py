@@ -1,5 +1,6 @@
 """Monte Carlo oracle: determinism, binomial statistics, convergence."""
 
+import collections
 import itertools
 import math
 import statistics
@@ -18,6 +19,7 @@ from photonthin import (
     thin_direct,
 )
 from photonthin import montecarlo
+from photonthin.cli import wide_input
 from photonthin.montecarlo import (
     _bernoulli_slots,
     _dense_survivors,
@@ -234,11 +236,27 @@ class TestSimulateThinned:
             simulate_thinned(make_pmf(EX3), 0.3, McConfig(seed=1, trials=1000), workers=workers)
 
     def test_rejects_chunks_of_2_63_photons(self):
-        # 2**62 pulses of up to 4 photons: the int64 slot count would wrap.
+        # 2**62 pulses of up to 4 photons: far past the 2**53 bound of
+        # float64 slot positions, and the int64 slot count would wrap.
         p = make_pmf([(0, 0.5), (4, 0.5)])
         cfg = McConfig(seed=1, trials=2**62, chunk_size=2**62)
         with pytest.raises(InvalidParameterError):
             simulate_thinned(p, 0.1, cfg)
+
+    @pytest.mark.parametrize("n", [3, 1001, 2**20])
+    def test_chunk_bound_edges(self, n):
+        # A chunk may hold P pulses of up to n photons when (P + 1) * n is
+        # at most 2**53; P counts min(chunk_size, trials).
+        p = make_pmf([(0, 0.5), (n, 0.5)])
+        most = 2**53 // n - 1
+        for chunk_size, trials in [(most + 1, most + 1), (most + 1, 2**62), (2**62, most + 1)]:
+            with pytest.raises(InvalidParameterError, match="2\\*\\*53"):
+                simulate_thinned(p, 1e-15, McConfig(seed=1, trials=trials, chunk_size=chunk_size))
+        for chunk_size in [most, 2**62]:
+            res = simulate_thinned(p, 1e-15, McConfig(seed=1, trials=most, chunk_size=chunk_size))
+            assert res.trials == most
+            assert abs(math.fsum(res.empirical.masses) - 1.0) <= 1e-9
+            assert res.empirical.mass(0) > 0.999
 
     def test_huge_chunk_size_with_few_trials(self):
         # The guard bounds the pulses a chunk actually holds.
@@ -491,7 +509,9 @@ class TestUniformSubset:
         rng = np.random.Generator(np.random.PCG64(610))
         for eta in [0.0, 1e-6, 0.15, 0.5, 1.0]:
             slots = _bernoulli_slots(rng, size, eta)
-            assert slots.dtype == np.int64
+            # float64 holding integers, exact below 2**53.
+            assert slots.dtype == np.float64
+            assert np.array_equal(slots, np.floor(slots))
             assert np.all(np.diff(slots) > 0)
             if slots.size:
                 assert 0 <= slots[0] and slots[-1] < size
@@ -511,7 +531,7 @@ class TestUniformSubset:
         # kept: a half, more than a half and under a tenth.
         blocks = 100_000
         rng = np.random.Generator(np.random.PCG64(seed))
-        slots = _bernoulli_slots(rng, size * blocks, count / size)
+        slots = _bernoulli_slots(rng, size * blocks, count / size).astype(np.int64)
         block = slots // size
         held = np.bincount(block, minlength=blocks)
         subset = np.bincount(block, weights=1 << (slots % size), minlength=blocks)
@@ -546,7 +566,9 @@ class TestBernoulliSlots:
         # chi-square over all 2**6 subsets; the rarest is still expected
         # about 12 times at eta = 0.15.
         blocks = 2**20
-        slots = _bernoulli_slots(np.random.Generator(np.random.PCG64(seed)), 6 * blocks, eta)
+        slots = _bernoulli_slots(
+            np.random.Generator(np.random.PCG64(seed)), 6 * blocks, eta
+        ).astype(np.int64)
         subset = np.bincount(slots // 6, weights=1 << (slots % 6), minlength=blocks)
         observed = np.bincount(subset.astype(np.int64), minlength=64)
         k = np.array([bin(s).count("1") for s in range(64)])
@@ -571,18 +593,157 @@ class TestBernoulliSlots:
         # 1000 slots at 44 gaps a draw take 23 draws.
         assert _bernoulli_slots(_ZeroDraws(), 1000, 0.01).tolist() == list(range(1000))
 
-    def test_positions_past_2_63_do_not_wrap(self):
-        # A point mass at 2**20 in a chunk of 2**42 pulses holds 2**62
-        # photon slots, and eta = 1e-18 keeps about 4.6 of them: gaps near
-        # 2**62 sum past 2**63 and must not wrap back into range.
-        size, eta, seeds = 2**62, 1e-18, 200
+    def test_positions_near_2_53_stay_exact(self):
+        # 2**53 - 2**20 slots, the most a chunk may hold at the kernel
+        # bound N = 2**20 (2**33 - 1 pulses), and eta keeping about 5 of
+        # them: gaps near 2**51 sum past 2**53, where float64 sums round.
+        # The slots must equal those of the same gaps summed in Python ints.
+        size, seeds = 2**53 - 2**20, 200
+        eta = 5.0 / size
+        rate = -math.log1p(-eta)
         total = 0
         for seed in range(seeds):
-            slots = _bernoulli_slots(np.random.Generator(np.random.PCG64(seed)), size, eta)
+            rng = _ShortFirstDraw(seed, first=1.0)
+            slots = _bernoulli_slots(rng, size, eta)
             assert slots.size < 30
             assert np.all(np.diff(slots) > 0)
             if slots.size:
                 assert 0 <= slots[0] and slots[-1] < size
+            gaps = np.maximum(np.ceil(np.concatenate(rng.drawn) / rate), 1.0)
+            ends = list(itertools.accumulate(int(g) for g in gaps.tolist()))
+            assert [int(x) for x in slots.tolist()] == [e - 1 for e in ends if e <= size]
             total += slots.size
         mean = seeds * eta * size
         assert abs(total - mean) <= 6.0 * math.sqrt(mean * (1.0 - eta))
+
+
+def _reference_sparse(rng, sup, groups, eta, photons, n_trials):
+    """The sparse path on int64 slot positions, as before float64 ones.
+
+    Positions are summed in uint64 with every gap capped at 2**63, and
+    pulses are found by integer division; kept to check that the float64
+    path gives the same histograms.
+    """
+    pulse = _reference_slots(rng, photons, eta)
+    survivors = pulse.size
+    if not survivors:
+        return np.array([n_trials], dtype=np.int64)
+    widths = groups * sup
+    photon_end = np.cumsum(widths)
+    held = np.diff(np.searchsorted(pulse, photon_end), prepend=0)
+    first_pulse = np.cumsum(groups) - groups
+    pulse -= np.repeat(photon_end - widths - first_pulse * sup, held)
+    pulse //= np.repeat(sup, held)
+    new = np.empty(survivors, dtype=bool)
+    new[0] = True
+    np.not_equal(pulse[1:], pulse[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    hist = np.bincount(np.diff(starts, append=survivors))
+    hist[0] = n_trials - starts.size
+    return hist
+
+
+def _reference_slots(rng, size, eta):
+    """Kept slots as int64, from the same gaps as _bernoulli_slots."""
+    if not (eta and size):
+        return np.empty(0, dtype=np.int64)
+    rate = -math.log1p(-eta) if eta < 1.0 else math.inf
+    mean = eta * size
+    count = int(mean + 6.0 * math.sqrt(mean)) + 16
+    parts = []
+    start = 0
+    while start < size:
+        gaps = rng.standard_exponential(count)
+        ends = np.cumsum(np.ceil(np.clip(gaps / rate, 1.0, 2.0**63)).astype(np.uint64))
+        past = ends > size - start
+        kept = int(past.argmax()) if past.any() else count
+        slots = ends[:kept].astype(np.int64) + (start - 1)
+        parts.append(slots)
+        if kept < count:
+            break
+        start = int(slots[-1]) + 1
+    return np.concatenate(parts)
+
+
+def _eta_with_rate(rate):
+    """The eta whose -log1p(-eta) is exactly rate."""
+    eta = -math.expm1(-rate)
+    for _ in range(64):
+        got = -math.log1p(-eta)
+        if got == rate:
+            return eta
+        eta = math.nextafter(eta, 0.0 if got > rate else 1.0)
+    raise AssertionError(f"no eta has rate {rate!r}")
+
+
+class _GapDraws:
+    """A generator whose exponential draws give chosen gaps.
+
+    The rate is a power of two, so each E = gap * rate divides back to the
+    gap exactly; after the chosen gaps, every gap is 2**60, past any slot.
+    """
+
+    def __init__(self, gaps, rate):
+        self._e = [g * rate for g in gaps]
+        self._rate = rate
+
+    def standard_exponential(self, size):
+        e = np.full(size, 2.0**60 * self._rate)
+        head, self._e = self._e[:size], self._e[size:]
+        e[: len(head)] = head
+        return e
+
+
+class TestFloatPositions:
+    """The sparse path on float64 slot positions gives the histograms of
+    the int64 one, up to the chunk bound (pulses + 1) * max N <= 2**53."""
+
+    @pytest.mark.parametrize(
+        ("p", "lam"),
+        [
+            (make_pmf(EX3), 0.1),
+            (poisson_family(3.0, 1e-12), 0.1),
+            (poisson_family(50.0, 1e-12), 0.1),
+            (make_pmf([(0, 0.6), (1, 0.4)]), 0.2),
+            (make_pmf([(1, 1.0)]), 0.1),
+            (make_pmf([(2**20, 1.0)]), 0.1),
+            (wide_input(), 0.1),
+        ],
+        ids=["ex3", "poisson3", "poisson50", "vacuum_heavy", "point_1", "point_2_20", "wide"],
+    )
+    def test_histograms_equal_integer_reference(self, p, lam):
+        # lam = 0.2 on {0: .6, 1: .4} is eta = 0.5.
+        sup, pvals = p.arrays()
+        eta = lam / p.mean
+        for seed in range(40):
+            n_trials = (250_000, 250_000, 37_123, 1)[seed % 4]
+            rng, groups = _chunk_start(pvals, n_trials, seed, seed)
+            photons = int(groups @ sup)
+            got = _sparse_survivors(rng, sup, groups, eta, photons, n_trials)
+            rng, groups = _chunk_start(pvals, n_trials, seed, seed)
+            want = _reference_sparse(rng, sup, groups, eta, photons, n_trials)
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 1001, 2**20])
+    def test_floor_at_the_chunk_bound(self, n):
+        # The most pulses of n photons a chunk may hold, with the first and
+        # the last slot of each of its last 50 pulses kept: offsets jN - 1
+        # and jN on both sides of each pulse boundary, and jN + N - 1, whose
+        # quotient lies closest below the next integer. Each pulse j must
+        # count its own slots, as Python's integer division says. At n = 5,
+        # multiplying by a rounded 1 / n instead of dividing floors some
+        # last slots into the next pulse.
+        pulses = 2**53 // n - 1
+        last = pulses - 1
+        slots = sorted({j * n + r for j in range(last - 49, last + 1) for r in (0, n - 1)})
+        gaps = [slots[0] + 1] + [b - a for a, b in zip(slots, slots[1:])]
+        rate = 2.0**-50
+        eta = _eta_with_rate(rate)
+        sup, groups = np.array([n]), np.array([pulses])
+        hist = _sparse_survivors(_GapDraws(gaps, rate), sup, groups, eta, pulses * n, pulses)
+        counts = collections.Counter(s // n for s in slots)
+        assert sorted(counts) == list(range(last - 49, last + 1))
+        want = np.bincount(list(counts.values()))
+        want[0] = pulses - len(counts)
+        np.testing.assert_array_equal(hist, want)
