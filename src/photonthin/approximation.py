@@ -29,7 +29,8 @@ class ApproxReport:
     n = 0, 1, 2 where l2c = lambda^2 * c. bound = (d + 1) * lambda^3 is
     the envelope within which delta may deviate from predicted.
     residuals are the recovered cubic remainder coefficients, each of
-    which must land in [0, d] up to numeric noise. risk_approx is
+    which must land in [0, d] up to numeric noise. tail3 is the thinned
+    mass at n >= 3, summed over its rows. risk_approx is
     deliberately not clamped to [0, 1]: values above one are the
     security red flag for overdispersed inputs.
     """
@@ -90,7 +91,6 @@ def build_report(
     d0 = (1.0 - lam + quad - q0) / lam3
     d1 = (q1 - lam + lam * lam + 2.0 * ms.c * lam * lam) / lam3
     d2 = (quad - q2) / lam3
-    tail3 = 1.0 - q0 - q1 - q2
 
     return ApproxReport(
         lam=lam,
@@ -98,7 +98,7 @@ def build_report(
         predicted=predicted,
         bound=bound,
         residuals=(d0, d1, d2),
-        tail3=tail3,
+        tail3=_mass_from(q, 3),
         risk_exact=risk_exact(q),
         risk_approx=risk_approx(ms.c, lam),
     )
@@ -115,14 +115,21 @@ def predicted_delta(c: float, lam: float) -> tuple[float, float, float]:
 def risk_exact(q: Pmf) -> float:
     """P(n > 1 | n > 0): chance a non-empty pulse carries several photons.
 
+    Both probabilities sum the table's rows at n >= 1 and n >= 2, never
+    1 - q(0): a single-photon source reads exactly 0.
+
     Raises:
         AllVacuumError: if all mass sits at zero photons.
     """
-    q0 = q.mass(0)
-    survived = 1.0 - q0
+    survived = _mass_from(q, 1)
     if survived <= 1e-15:
         raise AllVacuumError("all mass at zero photons; conditional risk undefined")
-    return (survived - q.mass(1)) / survived
+    return _mass_from(q, 2) / survived
+
+
+def _mass_from(q: Pmf, k: int) -> float:
+    """Mass of the rows at n >= k, summed without cancellation."""
+    return math.fsum(m for n, m in q.entries if n >= k)
 
 
 def risk_approx(c: float, lam: float) -> float:

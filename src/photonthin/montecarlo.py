@@ -19,8 +19,9 @@ survivors on one of two paths:
   comes out Binomial(T, eta) with no draw of its own. Slot positions and
   pulse ids are float64 holding integers, with no integer division: the
   sums, differences and floored quotients the path forms stay exact
-  while (pulses + 1) * max N <= 2**53, which bounds a chunk at about
-  8.6e9 pulses at the kernel bound N = 2**20; float sums never wrap.
+  while (pulses + 1) * max N <= 2**53, which a chunk of at most
+  ``_CHUNK_PULSES`` pulses meets for every N up to the kernel bound
+  2**20; float sums never wrap.
 - Dense, otherwise: binomial draws for the survivors of every pulse in
   ascending N, one scalar-n call for each atom carrying at least
   ``_OWN_CALL_PULSES`` pulses and one array-n call for each run of
@@ -36,20 +37,20 @@ binomial draw per pulse; the quarter keeps the sparse path to chunks
 where it is clearly cheaper.
 
 Reproducibility contract: results are bit-identical for a fixed
-(seed, trials, chunk_size) regardless of how many workers execute the
-chunks. Each chunk derives its own generator as
-``PCG64(SeedSequence(entropy=seed, spawn_key=(chunk_index,)))``, and the
-per-chunk histograms merge by exact integer addition, which is order
-independent. A counter-based generator such as Philox would add nothing:
-its one advantage is cheap jumps to any point of a stream, and no chunk
-ever jumps, since each seeds a stream of its own. PCG64, numpy's default
-bit generator, makes each draw cheaper. The path a chunk takes depends
-only on its own multinomial draw, so it too is the same for any number
-of workers. Dense chunks draw the same stream as before the sparse path
-existed; sparse chunks do not, so fixed-seed results with faint chunks
-differ from those of versions before the geometric gaps. Moving the slot
-positions from int64 to float64 changed no histogram. Reproducibility
-across numpy versions is not promised.
+(seed, trials). The trials run one chunk after another, in the calling
+thread, in chunks of a fixed ``_CHUNK_PULSES`` pulses with a shorter
+last one. Chunk i derives its own generator as
+``PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))``, and its histogram
+is added into a running total by exact integer addition. A counter-based
+generator such as Philox would add nothing: its one advantage is cheap
+jumps to any point of a stream, and no chunk ever jumps, since each
+seeds a stream of its own. PCG64, numpy's default bit generator, makes
+each draw cheaper. The path a chunk takes depends only on its own
+multinomial draw. Dense chunks draw the same stream as before the
+sparse path existed; sparse chunks do not, so fixed-seed results with
+faint chunks differ from those of versions before the geometric gaps.
+Moving the slot positions from int64 to float64 changed no histogram.
+Reproducibility across numpy versions is not promised.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ from .pmf import _MAX_KERNEL_N, Pmf, _as_int, tv_distance
 from .thinning import AttenuationCoefficient, _as_eta, thin_direct
 
 _MAX_INPUT_DEFECT = 1e-9
+
+# Pulses in every chunk but the last, so the substream layout and with it
+# every fixed-seed result. Sparse chunks place their photon slots in
+# float64, exact while (pulses + 1) * max N <= 2**53; at this size that
+# holds for every N up to _MAX_KERNEL_N, and a test checks that it does.
+_CHUNK_PULSES = 250_000
 
 # Group size from which an atom's pulses get a binomial call of their own.
 # On PCG64 a scalar-n call costs about 1.6 us plus 15 ns a pulse, an
@@ -93,25 +100,18 @@ _SPARSE_SURVIVOR_SHARE = 0.25
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial count and seeding for one simulation run.
-
-    chunk_size fixes the substream layout, so it is part of the
-    reproducibility key along with the seed.
-    """
+    """Trial count and seeding for one simulation run: the reproducibility key."""
 
     seed: int
     trials: int
-    chunk_size: int = 250_000
 
     def __post_init__(self) -> None:
-        for name in ("seed", "trials", "chunk_size"):
+        for name in ("seed", "trials"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if not (0 <= self.seed < 2**64):
             raise InvalidParameterError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
         if self.trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {self.trials!r}")
-        if self.chunk_size < 1:
-            raise InvalidParameterError(f"chunk_size must be >= 1, got {self.chunk_size!r}")
 
 
 @dataclass(frozen=True)
@@ -146,26 +146,25 @@ def simulate_thinned(
     Binomial(N, eta) sample, pulse by pulse in ascending N, one scalar-n
     call per atom with at least 1024 pulses in the chunk and one array-n
     call per run of smaller groups. Both give the exact law of
-    independent photon survival; see the module docstring. Each chunk's
-    histogram ends at the largest survivor count it drew, and the
-    shorter ones are added into the longest.
-    Deterministic in cfg: every chunk draws from its own PCG64 substream
-    keyed by (cfg.seed, chunk index), and the path it takes depends only
-    on that substream.
+    independent photon survival; see the module docstring. The chunks
+    hold 250 000 pulses each, the last one the rest, and run one after
+    another in the calling thread; each chunk's histogram ends at the
+    largest survivor count it drew and is added into a running total.
+    Deterministic in (cfg.seed, cfg.trials): every chunk draws from its
+    own PCG64 substream keyed by (cfg.seed, chunk index), and the path it
+    takes depends only on that substream.
 
     Args:
         p: input distribution, tail defect at most 1e-9.
         eta: survival probability.
-        cfg: seed, trial count and substream chunking.
-        workers: number of threads executing chunks, an integer >= 1;
-            does not affect the result.
+        cfg: seed and trial count.
+        workers: an integer >= 1, checked and otherwise ignored; the
+            chunks always run in the calling thread.
 
     Raises:
         InvalidParameterError: workers is not an integer >= 1, eta is
-            not in [0, 1], the input's tail defect exceeds 1e-9, the
-            input table is empty or reaches past the kernel bound 2**20,
-            or (min(chunk_size, trials) + 1) times the largest N exceeds
-            2**53, past which float64 slot positions are not exact.
+            not in [0, 1], the input's tail defect exceeds 1e-9, or the
+            input table is empty or reaches past the kernel bound 2**20.
     """
     workers = _as_int("workers", workers)
     if workers < 1:
@@ -179,14 +178,6 @@ def simulate_thinned(
         raise InvalidParameterError("cannot sample from an empty table")
     if p.max_index > _MAX_KERNEL_N:
         raise InvalidParameterError(f"outcome index {p.max_index} exceeds {_MAX_KERNEL_N}")
-    # A sparse chunk places its photon slots in float64, exact while every
-    # slot offset o and o + N stay at most 2**53; see _sparse_survivors.
-    chunk_pulses = min(cfg.chunk_size, cfg.trials)
-    if (chunk_pulses + 1) * p.max_index > 2**53:
-        raise InvalidParameterError(
-            f"a chunk of {chunk_pulses} pulses of up to {p.max_index} photons "
-            "is too large: (pulses + 1) * max N must be at most 2**53"
-        )
 
     sup, mas = p.arrays()
     # Increments of the CDF clamped at 1: a lossy table summing to up to
@@ -196,24 +187,11 @@ def simulate_thinned(
     # the largest support point.
     pvals = np.diff(np.minimum(np.cumsum(mas), 1.0), prepend=0.0)
 
-    sizes = [cfg.chunk_size] * (cfg.trials // cfg.chunk_size)
-    if cfg.trials % cfg.chunk_size:
-        sizes.append(cfg.trials % cfg.chunk_size)
-
-    def run_chunk(index: int) -> np.ndarray:
-        return _simulate_chunk(sup, pvals, eta, sizes[index], cfg.seed, index)
-
-    if workers > 1 and len(sizes) > 1:
-        # Imported here: it costs about 6 ms of every start-up, and the
-        # CLI never runs a pool.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            histograms = list(pool.map(run_chunk, range(len(sizes))))
-    else:
-        histograms = [run_chunk(i) for i in range(len(sizes))]
-
-    counts = _merge(histograms)
+    counts = np.zeros(1, dtype=np.int64)
+    for index, start in enumerate(range(0, cfg.trials, _CHUNK_PULSES)):
+        n_trials = min(_CHUNK_PULSES, cfg.trials - start)
+        chunk = _simulate_chunk(sup, pvals, eta, n_trials, cfg.seed, index)
+        counts = _merge([counts, chunk])
     observed = np.flatnonzero(counts)
     entries = tuple(
         (n, k / cfg.trials) for n, k in zip(observed.tolist(), counts[observed].tolist())
@@ -246,8 +224,8 @@ def _simulate_chunk(
     rng = np.random.Generator(np.random.PCG64(ss))
 
     groups = rng.multinomial(n_trials, pvals)
-    # simulate_thinned keeps n_trials * max N below 2**53, so the int64
-    # products and their sum cannot wrap.
+    # n_trials * max N stays below _CHUNK_PULSES * _MAX_KERNEL_N < 2**53,
+    # so the int64 products and their sum cannot wrap.
     photons = int(groups @ sup)
     if eta * photons <= _SPARSE_SURVIVOR_SHARE * n_trials:
         return _sparse_survivors(rng, sup, groups, eta, photons, n_trials)
@@ -315,13 +293,14 @@ def _sparse_survivors(
     ends = np.searchsorted(pulse, photon_end)
     held = ends - np.concatenate(([0], ends[:-1]))
     # Slot to pulse in place: the slot's offset within its atom plus the
-    # atom's first pulse times N, over N, floored. simulate_thinned keeps
-    # (pulses + 1) * max N <= 2**53, so every term is an integer that
-    # float64 holds exactly, and for an offset o = q * N + r the quotient
-    # o / N rounds into [q, q + 1): with q + 1 <= 2**53 / N the doubles
-    # below q + 1 are spaced less than 2 / N apart, and o / N lies at
-    # least 1 / N below it. The slots are rewritten in place: heap pages
-    # freed by one chunk can go back to the system and fault in the next.
+    # atom's first pulse times N, over N, floored. Chunks of at most
+    # _CHUNK_PULSES pulses keep (pulses + 1) * max N <= 2**53, so every
+    # term is an integer that float64 holds exactly, and for an offset
+    # o = q * N + r the quotient o / N rounds into [q, q + 1): with
+    # q + 1 <= 2**53 / N the doubles below q + 1 are spaced less than
+    # 2 / N apart, and o / N lies at least 1 / N below it. The slots are
+    # rewritten in place: heap pages freed by one chunk can go back to the
+    # system and fault in the next.
     first_pulse = np.cumsum(groups) - groups
     pulse -= np.repeat((photon_end - widths - first_pulse * sup).astype(np.float64), held)
     pulse /= np.repeat(sup.astype(np.float64), held)

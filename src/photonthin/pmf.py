@@ -40,7 +40,10 @@ _MAX_TAIL_EPS = 1e-6
 
 # Largest outcome index the kernels take: thinning, reports, Poisson
 # references and Monte Carlo. Its log(k!) table is 8 MB and takes about
-# 0.3 s to build; any Pmf index up to 2**63 - 1 is fine elsewhere.
+# 0.3 s to build; any Pmf index up to 2**63 - 1 is fine elsewhere. The
+# Monte Carlo sparse path places photon slots in float64, exact while
+# (montecarlo._CHUNK_PULSES + 1) * _MAX_KERNEL_N <= 2**53, so raising this
+# bound means revisiting that chunk size; a test checks the product.
 _MAX_KERNEL_N = 2**20
 
 # Largest outcome of a report's per-outcome series unless asked otherwise.

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -185,6 +186,33 @@ class TestRiskExact:
     def test_all_vacuum_rejected(self):
         with pytest.raises(AllVacuumError):
             risk_exact(make_pmf([(0, 1.0)]))
+
+    @pytest.mark.parametrize("eta", [0.1, 0.3, 1e-5])
+    def test_single_photon_source_has_no_risk(self, eta):
+        # Thinning {1: 1} leaves rows 0 and 1 only, so both the risk and
+        # the mass at n >= 3 are exactly 0, with no 1 - q(0) to cancel.
+        p = make_pmf([(1, 1.0)])
+        assert risk_exact(thin_direct(p, eta)) == 0.0
+        r = build_report(p, eta)
+        assert r.risk_exact == 0.0
+        assert r.tail3 == 0.0
+
+    @pytest.mark.parametrize("entries", [[(1, 0.9), (2, 0.1)], [(0, 0.5), (2, 0.5)]])
+    @pytest.mark.parametrize("eta", [1e-2, 1e-3, 1e-5])
+    def test_faint_risk_against_mpmath(self, entries, eta):
+        # P(n >= 2) / P(n >= 1) of the thinned table, in 50 digits. At
+        # eta = 1e-5 forming P(n >= 2) as 1 - q(0) - q(1) errs by about
+        # 1e-6 relative; summing the rows keeps the risk to rounding.
+        with mpmath.workdps(50):
+            e = mpmath.mpf(eta)
+            survived = several = mpmath.mpf(0)
+            for n, mass in entries:
+                none, one = (1 - e) ** n, n * e * (1 - e) ** (n - 1)
+                survived += mass * (1 - none)
+                several += mass * (1 - none - one)
+            want = float(several / survived)
+        got = risk_exact(thin_direct(make_pmf(entries), eta))
+        assert abs(got - want) <= 1e-13 * want
 
 
 class TestRiskApprox:

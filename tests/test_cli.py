@@ -528,8 +528,18 @@ class TestImports:
         assert _modules_after_cli_import("scipy") == "[]"
 
     def test_cli_import_leaves_the_thread_pool_out(self):
-        # concurrent.futures is imported only when simulate_thinned runs a pool.
         assert _modules_after_cli_import("concurrent") == "[]"
+        # Nor does a simulation of several chunks asked for two workers:
+        # the chunks run one after another in the calling thread.
+        out = _run_fresh(
+            "import sys\n"
+            "import photonthin as pt\n"
+            "p = pt.make_pmf([(1, 0.95), (1001, 0.05)])\n"
+            "res = pt.simulate_thinned(p, 0.5, pt.McConfig(seed=1, trials=600_001), workers=2)\n"
+            "print(res.trials)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))"
+        )
+        assert out.splitlines() == ["600001", "[]"]
 
     def test_cli_import_leaves_numpy_out(self):
         assert _modules_after_cli_import("numpy") == "[]"

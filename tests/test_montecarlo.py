@@ -1,6 +1,7 @@
 """Monte Carlo oracle: determinism, binomial statistics, convergence."""
 
 import collections
+import dataclasses
 import itertools
 import math
 import statistics
@@ -21,11 +22,13 @@ from photonthin import (
 from photonthin import montecarlo
 from photonthin.cli import wide_input
 from photonthin.montecarlo import (
+    _CHUNK_PULSES,
     _bernoulli_slots,
     _dense_survivors,
     _simulate_chunk,
     _sparse_survivors,
 )
+from photonthin.pmf import _MAX_KERNEL_N
 
 EX3 = [(1, 0.95), (1001, 0.05)]
 # Groups of 25k..75k pulses with runs of zero to a few pulses between them.
@@ -66,8 +69,10 @@ def _outcomes_within_five_sigma(p, eta, seed, trials=1_000_000):
 
 class TestMcConfig:
     def test_defaults(self):
+        # The seed and the trial count are the whole reproducibility key.
         cfg = McConfig(seed=1, trials=10)
-        assert cfg.chunk_size >= 1
+        assert dataclasses.astuple(cfg) == (1, 10)
+        assert [f.name for f in dataclasses.fields(McConfig)] == ["seed", "trials"]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -75,15 +80,15 @@ class TestMcConfig:
             {"seed": -1, "trials": 10},
             {"seed": 2**64, "trials": 10},
             {"seed": 0, "trials": 0},
-            {"seed": 0, "trials": 10, "chunk_size": 0},
+            {"seed": 0, "trials": -1},
             {"seed": 1.5, "trials": 10},
             {"seed": 1.0, "trials": 10},
             {"seed": 0, "trials": 1000.0},
             {"seed": 0, "trials": np.float64(1000)},
-            {"seed": 0, "trials": 10, "chunk_size": 2.5e4},
+            {"seed": 0, "trials": 2.5e4},
             {"seed": True, "trials": 10},
             {"seed": 0, "trials": True},
-            {"seed": 0, "trials": 10, "chunk_size": np.bool_(True)},
+            {"seed": 0, "trials": np.bool_(True)},
             {"seed": "1", "trials": 10},
         ],
     )
@@ -92,9 +97,9 @@ class TestMcConfig:
             McConfig(**kwargs)
 
     def test_numpy_integers_become_int(self):
-        cfg = McConfig(seed=np.uint64(2**64 - 1), trials=np.int64(1000), chunk_size=np.int32(300))
-        assert (cfg.seed, cfg.trials, cfg.chunk_size) == (2**64 - 1, 1000, 300)
-        assert all(type(v) is int for v in (cfg.seed, cfg.trials, cfg.chunk_size))
+        cfg = McConfig(seed=np.uint64(2**64 - 1), trials=np.int64(1000))
+        assert (cfg.seed, cfg.trials) == (2**64 - 1, 1000)
+        assert all(type(v) is int for v in (cfg.seed, cfg.trials))
         res = simulate_thinned(make_pmf(EX3), 0.3, cfg)
         assert type(res.trials) is int
         assert all(type(m) is float for m in res.empirical.masses)
@@ -121,9 +126,10 @@ class TestSimulateThinned:
         res = simulate_thinned(p, 1.0, McConfig(seed=9, trials=20_000))
         assert res.empirical.support == (2, 7)
 
-    def test_deterministic_across_runs_and_workers(self):
+    def test_deterministic_across_runs_and_workers(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_PULSES", 50_000)
         p = make_pmf(EX3)
-        cfg = McConfig(seed=2026, trials=400_000, chunk_size=50_000)
+        cfg = McConfig(seed=2026, trials=400_000)
         first = simulate_thinned(p, 0.1 / 51.0, cfg, workers=1)
         again = simulate_thinned(p, 0.1 / 51.0, cfg, workers=1)
         threaded = simulate_thinned(p, 0.1 / 51.0, cfg, workers=4)
@@ -195,13 +201,14 @@ class TestSimulateThinned:
         ],
         ids=["over_three_atoms", "over_two_atoms", "under_ex3"],
     )
-    def test_lossy_tables_sample_their_inverse_cdf_law(self, entries, top):
+    def test_lossy_tables_sample_their_inverse_cdf_law(self, entries, top, monkeypatch):
         # Ingestion accepts totals within 1e-9 of one either way; sampling
         # keeps the inverse-CDF law: an atom past a CDF of 1 is never
         # drawn, and a shortfall goes to the largest atom.
+        monkeypatch.setattr(montecarlo, "_CHUNK_PULSES", 50_000)
         p = make_pmf(entries)
         eta = 0.3
-        cfg = McConfig(seed=5, trials=200_000, chunk_size=50_000)
+        cfg = McConfig(seed=5, trials=200_000)
         serial = simulate_thinned(p, eta, cfg, workers=1)
         threaded = simulate_thinned(p, eta, cfg, workers=2)
         assert serial.empirical == threaded.empirical
@@ -235,41 +242,41 @@ class TestSimulateThinned:
         with pytest.raises(InvalidParameterError):
             simulate_thinned(make_pmf(EX3), 0.3, McConfig(seed=1, trials=1000), workers=workers)
 
-    def test_rejects_chunks_of_2_63_photons(self):
-        # 2**62 pulses of up to 4 photons: far past the 2**53 bound of
-        # float64 slot positions, and the int64 slot count would wrap.
-        p = make_pmf([(0, 0.5), (4, 0.5)])
-        cfg = McConfig(seed=1, trials=2**62, chunk_size=2**62)
-        with pytest.raises(InvalidParameterError):
-            simulate_thinned(p, 0.1, cfg)
+    def test_chunks_keep_float64_slot_positions_exact(self):
+        # A sparse chunk of P pulses of up to N photons places its slots
+        # in float64, exact while (P + 1) * N <= 2**53. The fixed chunk
+        # layout must meet that at the kernel bound; raising either
+        # constant past it needs a new argument for the sparse path.
+        assert (_CHUNK_PULSES + 1) * _MAX_KERNEL_N <= 2**53
 
-    @pytest.mark.parametrize("n", [3, 1001, 2**20])
-    def test_chunk_bound_edges(self, n):
-        # A chunk may hold P pulses of up to n photons when (P + 1) * n is
-        # at most 2**53; P counts min(chunk_size, trials).
-        p = make_pmf([(0, 0.5), (n, 0.5)])
-        most = 2**53 // n - 1
-        for chunk_size, trials in [(most + 1, most + 1), (most + 1, 2**62), (2**62, most + 1)]:
-            with pytest.raises(InvalidParameterError, match="2\\*\\*53"):
-                simulate_thinned(p, 1e-15, McConfig(seed=1, trials=trials, chunk_size=chunk_size))
-        for chunk_size in [most, 2**62]:
-            res = simulate_thinned(p, 1e-15, McConfig(seed=1, trials=most, chunk_size=chunk_size))
-            assert res.trials == most
-            assert abs(math.fsum(res.empirical.masses) - 1.0) <= 1e-9
-            assert res.empirical.mass(0) > 0.999
+    @pytest.mark.parametrize(
+        ("p", "lam"),
+        [(make_pmf(EX3), 0.1), (poisson_family(50.0, 1e-12), 1.0)],
+        ids=["sparse_ex3", "dense_poisson50"],
+    )
+    def test_fixed_chunk_layout(self, p, lam):
+        # 2 * 250_000 + 3 trials run as chunks of 250_000, 250_000 and 3
+        # pulses, with substream indices 0, 1 and 2, summed.
+        eta = lam / p.mean
+        cfg = McConfig(seed=619, trials=2 * 250_000 + 3)
+        res = simulate_thinned(p, eta, cfg)
+        sup, mas = p.arrays()
+        pvals = np.diff(np.minimum(np.cumsum(mas), 1.0), prepend=0.0)
+        counts = _summed(
+            [_simulate_chunk(sup, pvals, eta, n, cfg.seed, i)
+             for i, n in enumerate([250_000, 250_000, 3])]
+        )
+        want = tuple((n, int(k) / cfg.trials) for n, k in enumerate(counts) if k)
+        assert res.empirical.entries == want
+        assert res.max_count_observed == want[-1][0]
 
-    def test_huge_chunk_size_with_few_trials(self):
-        # The guard bounds the pulses a chunk actually holds.
-        p = make_pmf([(0, 0.5), (4, 0.5)])
-        res = simulate_thinned(p, 0.1, McConfig(seed=1, trials=10, chunk_size=2**62))
-        assert res.trials == 10
-
-    def test_empirical_entries_equal_walk_over_every_count(self):
+    def test_empirical_entries_equal_walk_over_every_count(self, monkeypatch):
         # A table reaching 10**6 photons: the entries are read off the
         # observed counts only and must equal a walk over all 10**6 + 1.
+        monkeypatch.setattr(montecarlo, "_CHUNK_PULSES", 50_000)
         p = make_pmf([(1, 0.95), (10**6, 0.05)])
         eta = 0.1 / p.mean
-        cfg = McConfig(seed=609, trials=100_001, chunk_size=50_000)
+        cfg = McConfig(seed=609, trials=100_001)
         res = simulate_thinned(p, eta, cfg)
         sup, mas = p.arrays()
         pvals = np.diff(np.minimum(np.cumsum(mas), 1.0), prepend=0.0)
@@ -281,15 +288,16 @@ class TestSimulateThinned:
         assert len(want) >= 3
         assert res.empirical.entries == want
 
-    def test_dense_entries_equal_full_length_histograms(self):
+    def test_dense_entries_equal_full_length_histograms(self, monkeypatch):
         # Chunk histograms end at the largest count drawn. On a dense
         # (lambda = 1) input reaching 2**16 photons, the entries must equal
         # those of max N + 1 long histograms of one array-n call a chunk,
         # with a remainder chunk.
+        monkeypatch.setattr(montecarlo, "_CHUNK_PULSES", 125_000)
         top = 2**16
         p = make_pmf([(1, 0.95), (top, 0.05)])
         eta = 1.0 / p.mean
-        cfg = McConfig(seed=617, trials=250_001, chunk_size=125_000)
+        cfg = McConfig(seed=617, trials=250_001)
         res = simulate_thinned(p, eta, cfg)
         sup, pvals = p.arrays()
         counts = np.zeros(top + 1, dtype=np.int64)
@@ -300,9 +308,10 @@ class TestSimulateThinned:
         assert len(want) >= 3
         assert res.empirical.entries == want
 
-    def test_numpy_integer_workers(self):
+    def test_numpy_integer_workers(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_PULSES", 5_000)
         p = make_pmf(EX3)
-        cfg = McConfig(seed=3, trials=20_000, chunk_size=5_000)
+        cfg = McConfig(seed=3, trials=20_000)
         serial = simulate_thinned(p, 0.3, cfg)
         threaded = simulate_thinned(p, 0.3, cfg, workers=np.int64(2))
         assert threaded.empirical == serial.empirical
@@ -400,10 +409,11 @@ class TestSparsePath:
         p = make_pmf(entries)
         assert _outcomes_within_five_sigma(p, lam / p.mean, seed=seed) == outcomes
 
-    def test_trials_not_a_multiple_of_chunk_size(self):
+    def test_trials_not_a_multiple_of_chunk_size(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_PULSES", 50_000)
         p = poisson_family(50.0, 1e-12)
         eta = 0.1 / p.mean
-        cfg = McConfig(seed=604, trials=123_457, chunk_size=50_000)
+        cfg = McConfig(seed=604, trials=123_457)
         res = simulate_thinned(p, eta, cfg)
         sup, pvals = p.arrays()
         chunks = [
@@ -456,7 +466,7 @@ class TestSparsePath:
 
     def test_workers_bit_identical(self):
         p = make_pmf(MIXED_WITH_TINY_ATOMS)
-        cfg = McConfig(seed=607, trials=1_000_003, chunk_size=100_000)
+        cfg = McConfig(seed=607, trials=1_000_003)
         eta = 0.1 / p.mean
         serial = simulate_thinned(p, eta, cfg, workers=1)
         threaded = simulate_thinned(p, eta, cfg, workers=2)
@@ -594,9 +604,9 @@ class TestBernoulliSlots:
         assert _bernoulli_slots(_ZeroDraws(), 1000, 0.01).tolist() == list(range(1000))
 
     def test_positions_near_2_53_stay_exact(self):
-        # 2**53 - 2**20 slots, the most a chunk may hold at the kernel
-        # bound N = 2**20 (2**33 - 1 pulses), and eta keeping about 5 of
-        # them: gaps near 2**51 sum past 2**53, where float64 sums round.
+        # 2**53 - 2**20 slots, just inside the 2**53 up to which
+        # _bernoulli_slots is exact, and eta keeping about 5 of them:
+        # gaps near 2**51 sum past 2**53, where float64 sums round.
         # The slots must equal those of the same gaps summed in Python ints.
         size, seeds = 2**53 - 2**20, 200
         eta = 5.0 / size
@@ -696,7 +706,7 @@ class _GapDraws:
 
 class TestFloatPositions:
     """The sparse path on float64 slot positions gives the histograms of
-    the int64 one, up to the chunk bound (pulses + 1) * max N <= 2**53."""
+    the int64 one while (pulses + 1) * max N <= 2**53."""
 
     @pytest.mark.parametrize(
         ("p", "lam"),
@@ -727,7 +737,7 @@ class TestFloatPositions:
 
     @pytest.mark.parametrize("n", [1, 3, 5, 1001, 2**20])
     def test_floor_at_the_chunk_bound(self, n):
-        # The most pulses of n photons a chunk may hold, with the first and
+        # The most pulses of n photons float64 slots admit, with the first and
         # the last slot of each of its last 50 pulses kept: offsets jN - 1
         # and jN on both sides of each pulse boundary, and jN + N - 1, whose
         # quotient lies closest below the next integer. Each pulse j must
