@@ -88,7 +88,9 @@ def build_report(
     lam3 = lam**3
     quad = lam * lam / 2.0 + ms.c * lam * lam
     q0, q1, q2 = q.mass(0), q.mass(1), q.mass(2)
-    d0 = (1.0 - lam + quad - q0) / lam3
+    # The table's own mass, not 1: a lossy table's slack over lambda^3
+    # would otherwise land in d0.
+    d0 = (p.total_mass - lam + quad - q0) / lam3
     d1 = (q1 - lam + lam * lam + 2.0 * ms.c * lam * lam) / lam3
     d2 = (quad - q2) / lam3
 

@@ -33,6 +33,10 @@ from pathlib import Path
 
 import click
 
+# The kernels are called as photonthin.<name>: the package loads their
+# module, and numpy, on first use, so a command loads only what it runs.
+import photonthin
+
 from .errors import InvalidParameterError, PhotonThinError
 from .pmf import (
     _MAX_KERNEL_N, DEFAULT_N_REPORT, DEFAULT_TAIL_EPS, Pmf, _as_tail_eps, make_pmf, moments,
@@ -106,10 +110,8 @@ def wide_input() -> Pmf:
     the emitted datasets; the silhouette is a documented stand-in for an
     unspecified broad lab source.
     """
-    from .thinning import thin_direct
-
-    low = thin_direct(make_pmf([(600, 1.0)]), 0.55)
-    high = thin_direct(make_pmf([(1000, 1.0)]), 0.647)
+    low = photonthin.thin_direct(make_pmf([(600, 1.0)]), 0.55)
+    high = photonthin.thin_direct(make_pmf([(1000, 1.0)]), 0.647)
     top = max(low.max_index, high.max_index)
     masses = [0.5 * low.mass(k) + 0.5 * high.mass(k) for k in range(top + 1)]
     return make_pmf([(k, m) for k, m in enumerate(masses) if m > 0.0])
@@ -172,9 +174,7 @@ def _eta_input(command):
         if (eta is None) == (target_lambda is None):
             raise InvalidParameterError("exactly one of --eta / --target-lambda is required")
         if eta is None:
-            from .thinning import eta_for_target_lambda
-
-            eta = eta_for_target_lambda(pmf, target_lambda).eta
+            eta = photonthin.eta_for_target_lambda(pmf, target_lambda).eta
         return command(pmf, eta, **kwargs)
 
     return resolve
@@ -233,9 +233,7 @@ def cmd_thin(pmf: Pmf, eta: float, n_report: int, out: str) -> None:
     Columns: n, p_eta, p_poisson, delta for n = 0..n-report. Prints the
     resolved lambda and eta as JSON on stdout.
     """
-    from .approximation import thinned_reference
-
-    q, ref, lam = thinned_reference(pmf, eta)
+    q, ref, lam = photonthin.thinned_reference(pmf, eta)
     rows = [
         [n, q.mass(n), ref.mass(n), q.mass(n) - ref.mass(n)]
         for n in range(n_report + 1)
@@ -249,9 +247,7 @@ def cmd_thin(pmf: Pmf, eta: float, n_report: int, out: str) -> None:
 @_n_report_option
 def cmd_report(pmf: Pmf, eta: float, n_report: int) -> None:
     """Print the full approximation report as JSON."""
-    from .approximation import build_report
-
-    report = build_report(pmf, eta, n_report)
+    report = photonthin.build_report(pmf, eta, n_report)
     click.echo(
         json.dumps(
             {
@@ -278,9 +274,7 @@ def cmd_mc(pmf: Pmf, eta: float, seed: int, trials: int) -> None:
     The input's tail defect must be at most 1e-09: a poisson spec needs
     a tail_eps of 1e-09 or less.
     """
-    from .montecarlo import McConfig, simulate_thinned
-
-    result = simulate_thinned(pmf, eta, McConfig(seed=seed, trials=trials))
+    result = photonthin.simulate_thinned(pmf, eta, photonthin.McConfig(seed=seed, trials=trials))
     click.echo(
         json.dumps(
             {
@@ -303,13 +297,10 @@ def cmd_table1(out: str) -> None:
     -0.00016 at an attenuated mean of 0.1; columns are lambda2C and the
     observed deviations delta0..delta4.
     """
-    from .approximation import build_report
-    from .thinning import eta_for_target_lambda
-
     rows = []
     for pmf in table1_inputs():
-        eta = eta_for_target_lambda(pmf, _TABLE1_LAMBDA)
-        report = build_report(pmf, eta, n_report=4)
+        eta = photonthin.eta_for_target_lambda(pmf, _TABLE1_LAMBDA)
+        report = photonthin.build_report(pmf, eta, n_report=4)
         l2c = report.predicted[0]
         rows.append([l2c, *report.delta[:5]])
     _write_csv(
@@ -333,9 +324,6 @@ def cmd_figures(out_dir: str) -> None:
     two-point input down to a mean of 0.1, the regime where the Poisson
     approximation visibly fails. Prints eta and lambda per file as JSON.
     """
-    from .approximation import thinned_reference
-    from .thinning import eta_for_target_lambda
-
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     wide = wide_input()
@@ -343,11 +331,11 @@ def cmd_figures(out_dir: str) -> None:
         (name, wide, eta) for name, eta in _FIGURE_ETAS.items()
     ]
     heavy = heavy_two_point_input()
-    jobs.append(("fig4", heavy, eta_for_target_lambda(heavy, 0.1).eta))
+    jobs.append(("fig4", heavy, photonthin.eta_for_target_lambda(heavy, 0.1).eta))
 
     summary = {}
     for name, pmf, eta in jobs:
-        q, ref, lam = thinned_reference(pmf, eta)
+        q, ref, lam = photonthin.thinned_reference(pmf, eta)
         top = max(q.max_index, ref.max_index)
         rows = [[n, q.mass(n), ref.mass(n)] for n in range(top + 1)]
         _write_csv(directory / f"{name}.csv", ["n", "p_eta", "p_poisson"], rows)

@@ -41,16 +41,9 @@ Reproducibility contract: results are bit-identical for a fixed
 thread, in chunks of a fixed ``_CHUNK_PULSES`` pulses with a shorter
 last one. Chunk i derives its own generator as
 ``PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))``, and its histogram
-is added into a running total by exact integer addition. A counter-based
-generator such as Philox would add nothing: its one advantage is cheap
-jumps to any point of a stream, and no chunk ever jumps, since each
-seeds a stream of its own. PCG64, numpy's default bit generator, makes
-each draw cheaper. The path a chunk takes depends only on its own
-multinomial draw. Dense chunks draw the same stream as before the
-sparse path existed; sparse chunks do not, so fixed-seed results with
-faint chunks differ from those of versions before the geometric gaps.
-Moving the slot positions from int64 to float64 changed no histogram.
-Reproducibility across numpy versions is not promised.
+is added into a running total by exact integer addition. The path a
+chunk takes depends only on its own multinomial draw. Reproducibility
+across numpy versions is not promised.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -81,16 +80,6 @@ def _as_tail_eps(tail_eps: object) -> float:
     return tail_eps
 
 
-def _other_integer(n: object) -> bool:
-    """Whether n, of a type other than int, is an int subclass or a numpy
-    integer, but no bool. numpy is looked up, not imported: while it is
-    not loaded, no numpy integer can exist."""
-    if isinstance(n, bool):
-        return False
-    np = sys.modules.get("numpy")
-    return isinstance(n, int) or (np is not None and isinstance(n, np.integer))
-
-
 class CompensatedSum:
     """Running Neumaier-compensated sum.
 
@@ -138,7 +127,8 @@ class Pmf:
     ``entries`` holds (index, mass) pairs with strictly increasing
     indices; ``tail_defect`` is the mass discarded by truncating an
     infinite-support family (0 for explicit tables). The masses plus the
-    defect must sum to one within ``NORMALIZATION_TOL``.
+    defect must sum to one within ``NORMALIZATION_TOL``. Indices follow
+    the rule of ``_as_int``, masses and the defect that of ``_as_real``.
 
     Instances are immutable and safe to share across threads.
     """
@@ -149,8 +139,10 @@ class Pmf:
     def __post_init__(self) -> None:
         prev = -1
         for n, mass in self.entries:
-            if type(n) is not int and not _other_integer(n):
-                raise InvalidParameterError(f"outcome index {n!r} is not an integer")
+            if type(n) is not int:
+                n = _as_int("outcome index", n)
+            if type(mass) is not float:
+                mass = _as_real("mass", mass)
             if n < 0:
                 raise InvalidParameterError(f"outcome index {n} is negative")
             if mass < 0.0 or not math.isfinite(mass):
@@ -164,9 +156,10 @@ class Pmf:
             prev = n
         if prev >= 2**63:
             raise InvalidParameterError(f"outcome index {prev} does not fit in int64")
-        if self.tail_defect < 0.0 or not math.isfinite(self.tail_defect):
-            raise InvalidParameterError(f"tail defect {self.tail_defect!r} must be >= 0")
-        total = math.fsum(m for _, m in self.entries) + self.tail_defect
+        tail_defect = _as_real("tail defect", self.tail_defect)
+        if tail_defect < 0.0 or not math.isfinite(tail_defect):
+            raise InvalidParameterError(f"tail defect {tail_defect!r} must be >= 0")
+        total = math.fsum(m for _, m in self.entries) + tail_defect
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise NotNormalizedError(
                 f"masses plus tail defect sum to {total!r}, expected 1 within "

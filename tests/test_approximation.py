@@ -31,6 +31,33 @@ EX3_RISK_EXACT = 0.6511063642497655
 EX3_RISK_APPROX = 0.9621299500192233
 POISSON_01_RISK_EXACT = 0.04916680552249556
 
+# ROADMAP item 1's reference input for the open faint-regime causes.
+FAINT_37 = make_pmf([(3, 0.5), (7, 0.5)])
+OPEN_ITEM_1 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+
+
+def exact_faint(entries, eta):
+    """Risk P(n >= 2) / P(n >= 1), residuals (d0, d1, d2) and d of thinning
+    entries by eta, in 50 digits: each a sum over atoms of closed-form
+    brackets, on the table's own total mass."""
+    with mpmath.workdps(50):
+        e = mpmath.mpf(eta)
+        survived = several = r0 = r1 = r2 = m1 = m3 = mpmath.mpf(0)
+        for n, mass in entries:
+            m = mpmath.mpf(mass)
+            pair = n * (n - 1) * e * e / 2
+            none, one, two = (1 - e) ** n, n * e * (1 - e) ** (n - 1), pair * (1 - e) ** (n - 2)
+            survived += m * (1 - none)
+            several += m * (1 - none - one)
+            r0 += m * (1 - n * e + pair - none)
+            r1 += m * (one - n * e + 2 * pair)
+            r2 += m * (pair - two)
+            m1 += m * n
+            m3 += m * n * (n - 1) * (n - 2)
+        lam3 = (e * m1) ** 3
+        residuals = tuple(float(r / lam3) for r in (r0, r1, r2))
+        return float(several / survived), residuals, float(m3 / m1**3)
+
 
 class TestBuildReport:
     def test_deterministic_input_has_zero_residuals(self):
@@ -146,6 +173,42 @@ class TestResidualRecovery:
         assert tested >= 8
 
 
+class TestFaintRegime:
+    @pytest.mark.parametrize(
+        "entries", [[(3, 0.5), (7, 0.5 + 4e-10)], [(1, 0.95), (1001, 0.05 - 5e-10)]]
+    )
+    @pytest.mark.parametrize("lam", [1e-2, 1e-3])
+    def test_lossy_table_residuals_against_mpmath(self, entries, lam):
+        # Masses that sum to 1 + 4e-10 or 1 - 5e-10: with 1 in place of
+        # the table's own mass, d0 reads -0.256 for 0.144 at lambda 1e-3.
+        p = make_pmf(entries)
+        eta = lam / p.mean
+        _, want, d = exact_faint(entries, eta)
+        assert build_report(p, eta).residuals == pytest.approx(want, rel=0, abs=1e-6 * max(d, 1.0))
+
+    @OPEN_ITEM_1
+    @pytest.mark.parametrize("lam", [1e-6, 1e-8, 1e-10])
+    def test_risk_against_mpmath(self, lam):
+        eta = lam / FAINT_37.mean
+        want = exact_faint(FAINT_37.entries, eta)[0]
+        got = build_report(FAINT_37, eta).risk_exact
+        assert abs(got - want) <= 1e-12 * want
+
+    @OPEN_ITEM_1
+    @pytest.mark.parametrize("lam", [1e-6, 1e-8])
+    def test_d0_against_mpmath(self, lam):
+        eta = lam / FAINT_37.mean
+        _, (want, _, _), d = exact_faint(FAINT_37.entries, eta)
+        got = build_report(FAINT_37, eta).residuals[0]
+        assert abs(got - want) <= 1e-6 * max(d, 1.0)
+
+    @OPEN_ITEM_1
+    @pytest.mark.parametrize("lam", [1e-7, 1e-10])
+    def test_delta2_is_its_leading_term(self, lam):
+        r = build_report(FAINT_37, lam / FAINT_37.mean)
+        assert abs(r.delta[2] / r.predicted[2] - 1.0) <= 1e-2
+
+
 class TestPredictedDelta:
     def test_table_first_row_scale(self):
         assert predicted_delta(0.45, 0.1) == pytest.approx(
@@ -200,17 +263,9 @@ class TestRiskExact:
     @pytest.mark.parametrize("entries", [[(1, 0.9), (2, 0.1)], [(0, 0.5), (2, 0.5)]])
     @pytest.mark.parametrize("eta", [1e-2, 1e-3, 1e-5])
     def test_faint_risk_against_mpmath(self, entries, eta):
-        # P(n >= 2) / P(n >= 1) of the thinned table, in 50 digits. At
-        # eta = 1e-5 forming P(n >= 2) as 1 - q(0) - q(1) errs by about
+        # At eta = 1e-5 forming P(n >= 2) as 1 - q(0) - q(1) errs by about
         # 1e-6 relative; summing the rows keeps the risk to rounding.
-        with mpmath.workdps(50):
-            e = mpmath.mpf(eta)
-            survived = several = mpmath.mpf(0)
-            for n, mass in entries:
-                none, one = (1 - e) ** n, n * e * (1 - e) ** (n - 1)
-                survived += mass * (1 - none)
-                several += mass * (1 - none - one)
-            want = float(several / survived)
+        want = exact_faint(entries, eta)[0]
         got = risk_exact(thin_direct(make_pmf(entries), eta))
         assert abs(got - want) <= 1e-13 * want
 

@@ -562,6 +562,38 @@ class TestImports:
             "[]",
         ]
 
+    @pytest.mark.parametrize(
+        "args, kernels",
+        [
+            (["moments", "SPEC"], "[] False"),
+            (["report", "SPEC", "--eta", "0.1"], "['approximation', 'thinning'] True"),
+            (["thin", "SPEC", "--eta", "0.1", "--out", "OUT/thin.csv"],
+             "['approximation', 'thinning'] True"),
+            (["table1", "--out", "OUT/table1.csv"], "['approximation', 'thinning'] True"),
+            (["figures", "--out-dir", "OUT"], "['approximation', 'thinning'] True"),
+            (["mc", "SPEC", "--eta", "0.1", "--trials", "1000"],
+             "['montecarlo', 'thinning'] True"),
+        ],
+        ids=["moments", "report", "thin", "table1", "figures", "mc"],
+    )
+    def test_each_command_loads_only_its_kernels(self, tmp_path, args, kernels):
+        # The kernel modules a command leaves in sys.modules, and whether
+        # numpy loaded, after it runs in a fresh interpreter.
+        spec = write_spec(tmp_path, {"table": [[0, 0.25], [3, 0.5], [7, 0.25]]})
+        args = [a.replace("SPEC", spec).replace("OUT", str(tmp_path)) for a in args]
+        out = _run_fresh(
+            "import sys\n"
+            "from photonthin.cli import main\n"
+            "try:\n"
+            "    main()\n"
+            "finally:\n"
+            "    kernels = ('approximation', 'montecarlo', 'thinning')\n"
+            "    print([k for k in kernels if f'photonthin.{k}' in sys.modules],"
+            " 'numpy' in sys.modules)",
+            *args,
+        )
+        assert out.splitlines()[-1] == kernels
+
     def test_kernels_load_on_first_use(self):
         out = _run_fresh(
             "import sys\n"

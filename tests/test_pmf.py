@@ -1,6 +1,7 @@
 """Core distribution type: construction, families, moments, GF, distance."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -402,6 +403,22 @@ class TestInputContract:
         for n in (True, np.True_, 3.0):
             with pytest.raises(InvalidParameterError):
                 Pmf(((n, 1.0),))
+
+    @pytest.mark.parametrize(
+        "mass, tail_defect",
+        [(m, 0.0) for m in (True, np.True_, "1.0", None, Decimal("1"), 10**400)]
+        + [(1.0, True), (1.0, "0.0")],
+        ids=["mass_true", "mass_np_true", "mass_str", "mass_none", "mass_decimal",
+             "mass_10**400", "tail_defect_true", "tail_defect_str"],
+    )
+    def test_pmf_mass_and_tail_defect_follow_the_number_rule(self, mass, tail_defect):
+        with pytest.raises(InvalidParameterError):
+            Pmf(((3, mass),), tail_defect=tail_defect)
+
+    def test_pmf_takes_numpy_and_int_masses(self):
+        p = Pmf(((np.int64(1), np.float64(0.5)), (np.int64(3), 0.5)))
+        assert p == Pmf(((1, 0.5), (3, 0.5)))
+        assert Pmf(((3, 1),)).total_mass == 1.0
 
     def test_index_past_int64_rejected(self):
         for n in (2**63, 10**103):
