@@ -30,9 +30,9 @@ from .pmf import (
     tv_distance,
 )
 
-# Names of the numpy kernels, by module. They are imported on first
-# access (PEP 562), so that importing the package, or a CLI command that
-# needs none of them, does not load numpy.
+# Names of the kernels, by module. They are imported on first access
+# (PEP 562), so that importing the package, or a CLI command, loads only
+# the kernels it uses; of these, only montecarlo loads numpy.
 _LAZY = {
     "approximation": (
         "ApproxReport", "build_report", "predicted_delta", "risk_approx", "risk_exact",

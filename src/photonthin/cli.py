@@ -34,7 +34,8 @@ from pathlib import Path
 import click
 
 # The kernels are called as photonthin.<name>: the package loads their
-# module, and numpy, on first use, so a command loads only what it runs.
+# module on first use (and numpy for the Monte Carlo oracle), so a
+# command loads only what it runs.
 import photonthin
 
 from .errors import InvalidParameterError, PhotonThinError

@@ -9,8 +9,7 @@ it explicitly.
 All sums that feed invariants (normalization, moments) are accumulated
 with full-precision summation (``math.fsum``) in ascending index order.
 The module is pure Python: numpy is imported only by :meth:`Pmf.arrays`,
-for the kernels of :mod:`photonthin.thinning`, which hold the log-space
-binomial term helper and its log-factorial table.
+for the Monte Carlo oracle in :mod:`photonthin.montecarlo`.
 """
 
 from __future__ import annotations
@@ -38,11 +37,11 @@ DEFAULT_TAIL_EPS = 1e-12
 _MAX_TAIL_EPS = 1e-6
 
 # Largest outcome index the kernels take: thinning, reports, Poisson
-# references and Monte Carlo. Its log(k!) table is 8 MB and takes about
-# 0.3 s to build; any Pmf index up to 2**63 - 1 is fine elsewhere. The
-# Monte Carlo sparse path places photon slots in float64, exact while
-# (montecarlo._CHUNK_PULSES + 1) * _MAX_KERNEL_N <= 2**53, so raising this
-# bound means revisiting that chunk size; a test checks the product.
+# references and Monte Carlo; any Pmf index up to 2**63 - 1 is fine
+# elsewhere. The Monte Carlo sparse path places photon slots in float64,
+# exact while (montecarlo._CHUNK_PULSES + 1) * _MAX_KERNEL_N <= 2**53, so
+# raising this bound means revisiting that chunk size; a test checks the
+# product.
 _MAX_KERNEL_N = 2**20
 
 # Largest outcome of a report's per-outcome series unless asked otherwise.
@@ -128,7 +127,8 @@ class Pmf:
     indices; ``tail_defect`` is the mass discarded by truncating an
     infinite-support family (0 for explicit tables). The masses plus the
     defect must sum to one within ``NORMALIZATION_TOL``. Indices follow
-    the rule of ``_as_int``, masses and the defect that of ``_as_real``.
+    the rule of ``_as_int``, masses and the defect that of ``_as_real``,
+    and are stored as the int and float those return.
 
     Instances are immutable and safe to share across threads.
     """
@@ -138,11 +138,11 @@ class Pmf:
 
     def __post_init__(self) -> None:
         prev = -1
+        converted = False
         for n, mass in self.entries:
-            if type(n) is not int:
-                n = _as_int("outcome index", n)
-            if type(mass) is not float:
-                mass = _as_real("mass", mass)
+            if type(n) is not int or type(mass) is not float:
+                n, mass = _as_int("outcome index", n), _as_real("mass", mass)
+                converted = True
             if n < 0:
                 raise InvalidParameterError(f"outcome index {n} is negative")
             if mass < 0.0 or not math.isfinite(mass):
@@ -156,6 +156,11 @@ class Pmf:
             prev = n
         if prev >= 2**63:
             raise InvalidParameterError(f"outcome index {prev} does not fit in int64")
+        if converted:
+            # Stored as checked, so that no kernel does numpy integer
+            # arithmetic, which wraps silently.
+            object.__setattr__(self, "entries", tuple(
+                (_as_int("outcome index", n), _as_real("mass", m)) for n, m in self.entries))
         tail_defect = _as_real("tail defect", self.tail_defect)
         if tail_defect < 0.0 or not math.isfinite(tail_defect):
             raise InvalidParameterError(f"tail defect {tail_defect!r} must be >= 0")

@@ -1,115 +1,77 @@
 """Binomial decay of a photon-count distribution, by two equivalent routes.
 
-``thin_direct`` is the reference implementation: it sums the binomial
-decay kernel over the input support. ``thin_via_gf`` reaches the same
-distribution through derivatives of the generating function evaluated at
-1 - eta. This module is the home of the one log-space term helper that
-both routes and :func:`gf_derivative` form their terms with, over a
-shared log-factorial table, to avoid overflow at support points in the
-thousands; independent checks of that helper are the high-precision
-reference tests, the semigroup property and the Monte Carlo oracle.
+``thin_direct`` steps each atom's binomial terms by the ratio of
+consecutive terms; ``thin_via_gf`` goes through generating-function
+derivatives at 1 - eta, in log space from ``math.lgamma``. The routes
+share no arithmetic, and high-precision reference tests, the semigroup
+property and the Monte Carlo oracle check both. Pure Python: no numpy.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-
-import numpy as np
+from collections.abc import Iterator
+from functools import partial
+from itertools import accumulate, chain, repeat, takewhile
+from operator import add, le, mul, truediv
 
 from .errors import InvalidParameterError, TargetExceedsMeanError
-from .pmf import (
-    _MAX_KERNEL_N,
-    AttenuationCoefficient,
-    CompensatedSum,
-    Pmf,
-    _as_int,
-    _as_real,
-)
+from .pmf import _MAX_KERNEL_N, AttenuationCoefficient, CompensatedSum, Pmf, _as_int, _as_real
 
 # Output truncation: stop once the cumulative mass is within this of
 # everything the input had to give; below double-precision resolution of
 # the normalization invariant.
 _TRUNCATION_SLACK = 1e-15
 
-# Cap on log-term matrix entries per chunk, to bound peak memory.
-_CHUNK_CELLS = 4_000_000
-
-# Rows in the first chunk of thin_direct; later chunks double up to the cap.
-_FIRST_CHUNK_ROWS = 32
-
 # Largest exponent math.exp accepts; beyond it results degrade to inf.
 _MAX_LOG = math.log(sys.float_info.max)
 
-# Read-only log(k!) for k < len(_LOG_FACTORIALS). _log_factorials grows it
-# by replacing the array, never writing into it, so a caller in another
-# thread always holds a complete table.
-_LOG_FACTORIALS = np.zeros(1)
+# thin_direct forms no term below the smallest normal float, so each keeps
+# full precision; every _PRUNE_EVERY rows it drops terms below _PRUNE of
+# their row's largest (see _sweep); it sums a mode's walk to _NEGLIGIBLE.
+_TINY = sys.float_info.min
+_PRUNE = 2.0**-70
+_PRUNE_EVERY = 16
+_NEGLIGIBLE = 2.0**-64
 
 
-def _log_factorials(k_max: int) -> np.ndarray:
-    """Read-only log(k!) from math.lgamma for k = 0..k_max at least; k_max <= _MAX_KERNEL_N."""
-    global _LOG_FACTORIALS
-    table = _LOG_FACTORIALS
-    if len(table) <= k_max:
-        if k_max > _MAX_KERNEL_N:
-            raise InvalidParameterError(f"outcome index {k_max} exceeds {_MAX_KERNEL_N}")
-        size = min(max(k_max + 1, 2 * len(table)), _MAX_KERNEL_N + 1)
-        table = np.array([math.lgamma(k + 1.0) for k in range(size)])
-        table.setflags(write=False)
-        _LOG_FACTORIALS = table
-    return table
+def _check_kernel_bound(p: Pmf) -> None:
+    if p.max_index > _MAX_KERNEL_N:
+        raise InvalidParameterError(f"outcome index {p.max_index} exceeds {_MAX_KERNEL_N}")
 
 
-def _log_terms(p: Pmf, n: int | np.ndarray, log_z: float) -> np.ndarray:
-    """log(N!/(N-n)! * p(N) * z^(N-n)) for every atom N of ``p``.
-
-    The one place a falling factorial, or with log(eta^n / n!) added a
-    binomial term, is formed. ``n`` is an int or a column of ints (one
-    row each); cells with N < n or zero mass are -inf. z = 0 is passed
-    as ``log_z = -inf`` and leaves only N = n finite.
-    """
-    sup, mas = p.arrays()
-    lf = _log_factorials(p.max_index)
-    lag = sup - n
-    valid = lag >= 0
-    lag = np.where(valid, lag, 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        power = np.where(lag > 0, lag * log_z, 0.0)
-        log_terms = lf[sup] - lf[lag] + power + np.log(mas)
-    return np.where(valid, log_terms, -np.inf)
+def _gf_atoms(p: Pmf) -> list[tuple[int, float, float]]:
+    """(N, log N!, log p(N)) for every atom of ``p`` with positive mass."""
+    _check_kernel_bound(p)
+    return [(n, math.lgamma(n + 1), math.log(m)) for n, m in p.entries if m > 0.0]
 
 
-def _log_sum_exp(log_terms: np.ndarray) -> float:
-    """log of the sum of exp(log_terms), via a max shift; -inf when empty."""
-    shift = float(np.max(log_terms, initial=-np.inf))
-    if shift == -np.inf:
+def _log_gf_sum(atoms: list[tuple[int, float, float]], order: int, log_z: float) -> float:
+    """log of the sum over atoms N >= order of N!/(N-order)! * p(N) * z^(N-order),
+    each term in log space and added by max shift and ``fsum``; -inf if no
+    atom reaches ``order``. z = 0 comes as ``log_z = -inf``: only N = order."""
+    logs = [lf - math.lgamma(n - order + 1) + ((n - order) * log_z if n > order else 0.0) + log_m
+            for n, lf, log_m in atoms if n >= order]
+    shift = max(logs, default=-math.inf)
+    if shift == -math.inf:
         return shift
-    return shift + math.log(float(np.exp(log_terms - shift).sum()))
-
-
-def _exp_or_inf(log_value: float) -> float:
-    """exp that degrades to inf instead of raising past the float range."""
-    if log_value > _MAX_LOG:
-        return math.inf
-    return math.exp(log_value)
+    return shift + math.log(math.fsum([math.exp(t - shift) for t in logs]))
 
 
 def gf_derivative(p: Pmf, order: int, z: float) -> float:
     """Order-th derivative of the probability generating function at z.
 
-    Computes sum over N >= order of N!/(N-order)! * p(N) * z^(N-order).
-    Every term is evaluated in log space by :func:`_log_terms` and the
-    terms, all nonnegative, are combined by max-shifted exponential
-    summation; a result past the float range degrades to inf.
+    Computes sum over N >= order of N!/(N-order)! * p(N) * z^(N-order) by
+    :func:`_log_gf_sum`; a result past the float range degrades to inf.
     """
     order, z = _as_int("derivative order", order), _as_real("evaluation point", z)
     if not 0 <= order < 2**63:
         raise InvalidParameterError(f"derivative order must lie in [0, 2**63), got {order!r}")
     if not (0.0 <= z <= 1.0):
         raise InvalidParameterError(f"evaluation point must lie in [0, 1], got {z!r}")
-    log_z = math.log(z) if z > 0.0 else -math.inf
-    return _exp_or_inf(_log_sum_exp(_log_terms(p, order, log_z)))
+    log_sum = _log_gf_sum(_gf_atoms(p), order, math.log(z) if z > 0.0 else -math.inf)
+    return math.inf if log_sum > _MAX_LOG else math.exp(log_sum)
 
 
 def _as_eta(eta: float | AttenuationCoefficient) -> float:
@@ -128,51 +90,97 @@ def _truncated(p: Pmf, entries: list[tuple[int, float]]) -> Pmf:
     return Pmf(tuple(entries), tail_defect=p.tail_defect + cut)
 
 
+def _mode_share(big_n: int, mode: int, eta: float) -> float:
+    """binom(N, mode) eta^mode (1-eta)^(N-mode), free of the rounding of log N!:
+    by the binomial theorem, the reciprocal of the sum of the terms walked
+    both ways from 1 at the mode until they fall below _NEGLIGIBLE."""
+    ups = map(truediv, range(big_n - mode, 0, -1), range(mode + 1, big_n + 1))
+    downs = map(truediv, range(mode, 0, -1), range(big_n - mode + 1, big_n + 1))
+    halves = (accumulate(map(mul, steps, repeat(ratio)), mul)
+              for steps, ratio in ((ups, eta / (1.0 - eta)), (downs, (1.0 - eta) / eta)))
+    return 1.0 / math.fsum(chain((1.0,), *(takewhile(partial(le, _NEGLIGIBLE), h) for h in halves)))
+
+
+def _sweep(starts: list[tuple[int, float, float]], ratio: float, step: int) -> Iterator[float]:
+    """fsum of each row's terms, row after row from the first start's row.
+    Atom N joins at the row of its (row, N, term) in ``starts``. Each row
+    steps every term by (N-n)/(n+1) * ratio upward (step 1) or by
+    n/(N-n+1) * ratio downward (step -1). A term is dropped for good below
+    _TINY, or below _PRUNE times the row's largest term while its atom
+    lies behind that term's in the sweep's direction: their ratio only
+    shrinks from then on."""
+    terms, atoms, k, n = [], [], 0, starts[0][0]
+    while (k < len(starts) or terms) and n >= 0:
+        if not terms:
+            yield from repeat(0.0, abs(starts[k][0] - n))
+            n = starts[k][0]
+        while k < len(starts) and starts[k][0] == n:
+            atoms.append(starts[k][1])
+            terms.append(starts[k][2])
+            k += 1
+        yield math.fsum(terms)
+        if step > 0:
+            c = ratio / (n + 1)
+            terms = [t * ((a - n) * c) for t, a in zip(terms, atoms)]
+        else:
+            c = n * ratio
+            terms = [t * (c / (a - n + 1)) for t, a in zip(terms, atoms)]
+        n += step
+        if n % _PRUNE_EVERY == 1 and terms:
+            top = max(terms)
+            cut, lead = top * _PRUNE, atoms[terms.index(top)] * step
+            kept = [(t, a) for t, a in zip(terms, atoms) if t >= _TINY and (t >= cut or a * step > lead)]
+            terms, atoms = [list(col) for col in zip(*kept)] if kept else ([], [])
+
+
 def thin_direct(p: Pmf, eta: float | AttenuationCoefficient) -> Pmf:
     """Distribution of survivors when each photon independently keeps
     probability eta of passing the attenuator.
 
     Output mass at n is sum over N >= n of binom(N, n) eta^n (1-eta)^(N-n)
-    times the input mass at N, each term formed in log space. Rows are
-    built in chunks that start at 32 rows and double, and the output is
-    truncated once the cumulative mass reaches the input's total mass
-    less 1e-15, or, within the rounding of the log terms of that total,
-    at the first row that no longer changes the sum. Whatever is cut
-    joins the inherited tail defect.
-
-    eta = 0 and eta = 1 short-circuit exactly, with no log round trip.
-    """
+    times the input mass m at N, each row an ``fsum`` (:func:`_sweep`).
+    An atom starts at row 0 with m (1-eta)^N where that is a normal float,
+    else at its mode (:func:`_mode_share`), walked down and up. Rows are
+    cut once their mass reaches the input's total less 1e-15, or, within
+    4 eps log(N!) of it, at the first row that leaves the sum unchanged;
+    the cut joins the inherited tail defect. eta 0 and 1 are exact."""
     eta = _as_eta(eta)
     if eta == 0.0:
         return Pmf(((0, p.total_mass),), tail_defect=p.tail_defect)
     if eta == 1.0 or not p.entries:
         return p
+    _check_kernel_bound(p)
 
-    log_eta = math.log(eta)
-    log_keep = math.log1p(-eta)
-    max_n = p.max_index
-    lf = _log_factorials(max_n)
+    log_keep, ratio = math.log1p(-eta), eta / (1.0 - eta)
+    up, down = [], []
+    for big_n, m in p.entries:
+        b = m * math.exp(big_n * log_keep)
+        if b >= _TINY:
+            up.append((0, float(big_n), b))
+        elif m >= _TINY:
+            mode = min(big_n, int((big_n + 1) * eta))
+            b = m * _mode_share(big_n, mode, eta)
+            if b >= _TINY:
+                down.append((mode, float(big_n), b))
+                up.append((mode + 1, float(big_n), b * (big_n - mode) / (mode + 1) * ratio))
+    down.sort(reverse=True)
+    lower = list(_sweep(down, (1.0 - eta) / eta, -1))[::-1] if down else []
+    low = down[0][0] + 1 - len(lower) if down else 0
+    up.append((low, 0.0, 0.0))  # a zero term, so the upward rows start at the lowest row
+    up.sort()
+    rows = map(add, _sweep(up, ratio, 1), chain(repeat(0.0, low - up[0][0]), lower, repeat(0.0)))
     target = p.total_mass - _TRUNCATION_SLACK
-    # Log terms near lf[max_n] round at about eps * lf[max_n] relative, so
-    # the float sum may settle short of the target by about that much.
-    near = p.total_mass - 4.0 * np.finfo(np.float64).eps * lf[max_n]
-    max_rows = max(1, _CHUNK_CELLS // len(p.entries))
+    near = p.total_mass - 4.0 * sys.float_info.epsilon * math.lgamma(p.max_index + 1)
 
     entries: list[tuple[int, float]] = []
     acc = CompensatedSum()
-    lo, rows = 0, min(_FIRST_CHUNK_ROWS, max_rows)
-    while lo <= max_n:
-        n_col = np.arange(lo, min(max_n + 1, lo + rows))[:, None]
-        log_binom = _log_terms(p, n_col, log_keep) + (n_col * log_eta - lf[n_col])
-        for n, q_n in enumerate(np.exp(log_binom).sum(axis=1).tolist(), start=lo):
-            before = acc.value
-            acc.add(q_n)
-            if q_n > 0.0:
-                entries.append((n, q_n))
-            if acc.value >= target or (acc.value >= near and acc.value == before):
-                return _truncated(p, entries)
-        lo += rows
-        rows = min(2 * rows, max_rows)
+    for n, q_n in enumerate(rows, start=up[0][0]):
+        before = acc.value
+        acc.add(q_n)
+        if q_n > 0.0:
+            entries.append((n, q_n))
+        if acc.value >= target or (acc.value >= near and acc.value == before):
+            break
     return _truncated(p, entries)
 
 
@@ -180,11 +188,10 @@ def thin_via_gf(p: Pmf, eta: float | AttenuationCoefficient, n_max: int) -> Pmf:
     """Same transformation through generating-function derivatives.
 
     Output mass at n is (eta^n / n!) times the n-th derivative of the
-    generating function at 1 - eta, for n = 0..n_max. The derivative is
-    kept as a log-sum of :func:`photonthin.thinning.gf_derivative`'s terms,
-    since it overflows the float range long before the product does. The
-    defect is the inherited one plus whatever the n_max cutoff leaves of
-    the input's total mass.
+    generating function at 1 - eta, for n = 0..n_max, the derivative kept
+    as a log-sum (:func:`_log_gf_sum`) since it overflows the float range
+    long before the product does. The defect is the inherited one plus
+    what the n_max cutoff leaves of the input's total mass.
     """
     n_max = _as_int("n_max", n_max)
     if n_max < 0:
@@ -195,13 +202,10 @@ def thin_via_gf(p: Pmf, eta: float | AttenuationCoefficient, n_max: int) -> Pmf:
     if eta == 1.0:
         return _truncated(p, [(n, m) for n, m in p.entries if n <= n_max])
 
-    log_eta = math.log(eta)
-    log_z = math.log1p(-eta)
-    top = min(n_max, p.max_index)
-    lf = _log_factorials(top)
+    log_eta, log_z, atoms = math.log(eta), math.log1p(-eta), _gf_atoms(p)
     entries: list[tuple[int, float]] = []
-    for n in range(top + 1):
-        q_n = math.exp(n * log_eta - lf[n] + _log_sum_exp(_log_terms(p, n, log_z)))
+    for n in range(min(n_max, p.max_index) + 1):
+        q_n = math.exp(n * log_eta - math.lgamma(n + 1) + _log_gf_sum(atoms, n, log_z))
         if q_n > 0.0:
             entries.append((n, q_n))
     return _truncated(p, entries)
@@ -219,12 +223,8 @@ def eta_for_target_lambda(p: Pmf, target_lambda: float) -> AttenuationCoefficien
     """
     target_lambda = _as_real("target mean", target_lambda)
     if not (math.isfinite(target_lambda) and target_lambda > 0.0):
-        raise InvalidParameterError(
-            f"target mean must be positive and finite, got {target_lambda!r}"
-        )
+        raise InvalidParameterError(f"target mean must be positive and finite, got {target_lambda!r}")
     mean = p.mean
     if target_lambda > mean:
-        raise TargetExceedsMeanError(
-            f"target mean {target_lambda} exceeds input mean {mean}"
-        )
+        raise TargetExceedsMeanError(f"target mean {target_lambda} exceeds input mean {mean}")
     return AttenuationCoefficient(target_lambda / mean)

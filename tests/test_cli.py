@@ -544,6 +544,15 @@ class TestImports:
     def test_cli_import_leaves_numpy_out(self):
         assert _modules_after_cli_import("numpy") == "[]"
 
+    def test_approximation_import_leaves_numpy_out(self):
+        # The exact kernels are pure Python; only the Monte Carlo oracle
+        # loads numpy.
+        out = _run_fresh(
+            "import sys, photonthin.approximation; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+        )
+        assert out == "[]"
+
     def test_moments_runs_without_numpy(self, tmp_path):
         spec = write_spec(tmp_path, {"table": [[0, 0.25], [3, 0.5], [7, 0.25]]})
         out = _run_fresh(
@@ -566,11 +575,11 @@ class TestImports:
         "args, kernels",
         [
             (["moments", "SPEC"], "[] False"),
-            (["report", "SPEC", "--eta", "0.1"], "['approximation', 'thinning'] True"),
+            (["report", "SPEC", "--eta", "0.1"], "['approximation', 'thinning'] False"),
             (["thin", "SPEC", "--eta", "0.1", "--out", "OUT/thin.csv"],
-             "['approximation', 'thinning'] True"),
-            (["table1", "--out", "OUT/table1.csv"], "['approximation', 'thinning'] True"),
-            (["figures", "--out-dir", "OUT"], "['approximation', 'thinning'] True"),
+             "['approximation', 'thinning'] False"),
+            (["table1", "--out", "OUT/table1.csv"], "['approximation', 'thinning'] False"),
+            (["figures", "--out-dir", "OUT"], "['approximation', 'thinning'] False"),
             (["mc", "SPEC", "--eta", "0.1", "--trials", "1000"],
              "['montecarlo', 'thinning'] True"),
         ],

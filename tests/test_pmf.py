@@ -32,7 +32,6 @@ from photonthin import (
     tv_distance,
 )
 from photonthin.pmf import _MAX_KERNEL_N
-from photonthin.thinning import _log_factorials
 
 # Frozen oracle values (independent routes, see each test).
 EX3_PAIRS = [(1, 0.95), (1001, 0.05)]
@@ -288,23 +287,31 @@ class TestGfDerivative:
             gf_derivative(make_pmf([(1, 1.0)]), order, z)
 
 
-class TestLogFactorials:
-    def test_against_high_precision_reference(self):
-        import mpmath as mp
+class TestThinDirectRows:
+    """Rows of thinned point masses against 50-digit mpmath binomials."""
 
-        table = _log_factorials(20_000)
-        assert table[0] == 0.0 and table[1] == 0.0
-        with mp.workdps(30):
-            worst = max(
-                abs(table[k] - float(mp.loggamma(k + 1))) / table[k]
-                for k in range(2, 20_001)
-            )
-        assert worst <= 1e-15
+    @staticmethod
+    def _worst_rel_err(big_n: int, eta: float, rows) -> float:
+        q = thin_direct(make_pmf([(big_n, 1.0)]), eta)
+        worst = 0.0
+        with mpmath.workdps(50):
+            e = mpmath.mpf(eta)
+            for n in rows:
+                ref = mpmath.binomial(big_n, n) * e**n * (1 - e) ** (big_n - n)
+                worst = max(worst, float(abs(q.mass(n) - ref) / ref))
+        return worst
 
-    def test_read_only(self):
-        table = _log_factorials(10)
-        with pytest.raises(ValueError):
-            table[3] = 0.0
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("big_n", [2000, 40_000, 2**20])
+    def test_row_zero_start(self, big_n, lam):
+        assert self._worst_rel_err(big_n, lam / big_n, range(6)) <= 1e-12
+
+    @pytest.mark.parametrize("big_n, eta", [(1000, 0.647), (2**20, 0.5)])
+    def test_mode_start(self, big_n, eta):
+        # Row 0 underflows here, so the rows start at the mode.
+        mode = int((big_n + 1) * eta)
+        rows = [mode - 40, mode - 3, mode, mode + 2, mode + 40]
+        assert self._worst_rel_err(big_n, eta, rows) <= 1e-12
 
 
 class TestTvDistance:
@@ -420,6 +427,18 @@ class TestInputContract:
         assert p == Pmf(((1, 0.5), (3, 0.5)))
         assert Pmf(((3, 1),)).total_mass == 1.0
 
+    def test_pmf_stores_int_indices_and_float_masses(self):
+        p = Pmf(((np.int64(1), np.float32(0.5)), (3, 0.5)))
+        assert [(type(n), type(m)) for n, m in p.entries] == [(int, float), (int, float)]
+        assert p.entries == ((1, 0.5), (3, 0.5))
+        assert type(Pmf(((3, 1),)).entries[0][1]) is float
+
+    def test_moments_of_numpy_index_do_not_wrap(self):
+        # n(n-1)(n-2) at 3e6 is past the int64 range.
+        ms = moments(Pmf(((np.int64(3_000_000), 1.0),)))
+        assert ms.m3 == float(3_000_000 * 2_999_999 * 2_999_998)
+        assert ms.d == pytest.approx(2_999_999 * 2_999_998 / 3e6**2, rel=1e-12)
+
     def test_index_past_int64_rejected(self):
         for n in (2**63, 10**103):
             with pytest.raises(InvalidParameterError):
@@ -458,7 +477,6 @@ class TestKernelBound:
         q = thin_direct(make_pmf([(_MAX_KERNEL_N, 1.0)]), 0.5)
         assert q.mean == pytest.approx(_MAX_KERNEL_N / 2, rel=1e-10)
         assert q.total_mass + q.tail_defect == pytest.approx(1.0, abs=1e-12)
-        assert len(_log_factorials(_MAX_KERNEL_N)) == _MAX_KERNEL_N + 1
 
     def test_moments_take_any_int64_index(self):
         assert moments(make_pmf([(10**12, 1.0)])).mean == 1e12

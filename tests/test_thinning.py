@@ -14,7 +14,6 @@ from photonthin import (
     poisson_family,
     thin_direct,
     thin_via_gf,
-    thinning,
     tv_distance,
 )
 from photonthin.cli import wide_input
@@ -86,14 +85,22 @@ class TestThinDirect:
             twice = thin_direct(thin_direct(p, eta1), eta2)
             assert tv_distance(twice, once) <= 1e-10
 
-    def test_rows_do_not_depend_on_chunk_budget(self, monkeypatch):
+    def test_table_thins_to_weighted_sum_of_its_atoms(self):
+        # Thinning is linear in the input. At eta 0.6 the atoms up to about
+        # 770 start at row 0 and the others at their mode, so both starts
+        # meet in one table.
         rng = np.random.default_rng(10)
         for _ in range(5):
-            p = random_sparse_pmf(rng, max_index=600, max_atoms=30)
-            wide_chunks = thin_direct(p, 0.6)
-            monkeypatch.setattr(thinning, "_CHUNK_CELLS", 7)
-            assert thin_direct(p, 0.6).entries == wide_chunks.entries
-            monkeypatch.undo()
+            p = random_sparse_pmf(rng, max_index=2000, max_atoms=30)
+            q = thin_direct(p, 0.6)
+            mixed = {}
+            for big_n, m in p.entries:
+                for n, mass in thin_direct(make_pmf([(big_n, 1.0)]), 0.6).entries:
+                    mixed[n] = mixed.get(n, 0.0) + m * mass
+            assert max(abs(q.mass(n) - mixed.get(n, 0.0)) for n in set(mixed) | set(q.support)) <= 1e-14
+            for n, mass in q.entries:
+                if mass > 1e-250:
+                    assert mass == pytest.approx(mixed[n], rel=1e-9)
 
     def test_rejects_bad_eta(self):
         with pytest.raises(InvalidParameterError):
@@ -131,11 +138,15 @@ class TestThinDirect:
 
 class TestTruncation:
     def test_lossy_table_stops_at_its_own_total(self):
+        # 50-digit mpmath: rows 0-19 leave 1.96e-15 of the table's total,
+        # more than the 1e-15 slack, so the exact rule emits row 20 too.
         q = thin_direct(make_pmf(EX3_LOSSY), EX3_ETA)
-        assert len(q.entries) <= 20
+        assert len(q.entries) <= 21
         assert q.tail_defect <= 1e-15
 
-    @pytest.mark.parametrize("eta,rows", [(0.1, 128), (1e-3, 13), (2e-4, 9)])
+    # 50-digit mpmath at eta 0.1: rows 0-132 leave 2.8e-15 of the total and
+    # rows 0-133 leave 1.3e-15, so the 1e-15 slack is reached at about 134.
+    @pytest.mark.parametrize("eta,rows", [(0.1, 134), (1e-3, 13), (2e-4, 9)])
     def test_wide_input_row_counts(self, eta, rows):
         assert abs(len(thin_direct(wide_input(), eta).entries) - rows) <= 4
 
