@@ -16,22 +16,23 @@ for every variant. The rules for indices and numbers are those of
 parsed: indices are JSON integers >= 0 or integral floats up to 2**53,
 every other value is a JSON number, and bools and strings are rejected.
 
-Exit codes: 0 success, 2 validation or usage error, 1 internal error.
-A spec that is unreadable or malformed in any shape, a library error, a
-negative --n-report and an output path that cannot be written all exit 2;
-all but the usage errors print one ``error:`` line on stderr.
+Exit codes: 0 success, 2 validation or usage error, 1 internal error or
+broken pipe. A spec that is unreadable or malformed in any shape, a
+library error, a negative --n-report and an output path that cannot be
+written all exit 2; a usage error prints argparse's usage line, the
+others one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
-import functools
 import json
 import math
+import os
 import sys
+import types
 from pathlib import Path
-
-import click
 
 # The kernels are called as photonthin.<name>: the package loads their
 # module on first use (and numpy for the Monte Carlo oracle), so a
@@ -123,11 +124,6 @@ def heavy_two_point_input() -> Pmf:
     return make_pmf([(1, 0.95), (1001, 0.05)])
 
 
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
-
-
 def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -136,162 +132,77 @@ def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _pmf_input(command):
-    """Add SPEC and --tail-eps to ``command`` and pass it the loaded Pmf.
-
-    A spec that does not parse, whatever its shape, is an
-    InvalidParameterError, so the group reports it like any other.
-    """
-
-    @click.argument("spec_path", metavar="SPEC", type=click.Path())
-    @click.option(
-        "--tail-eps",
-        type=float,
-        default=None,
-        help=f"Tail mass allowed when truncating families (default {DEFAULT_TAIL_EPS}).",
-    )
-    @functools.wraps(command)
-    def load(spec_path: str, tail_eps: float | None, **kwargs):
-        try:
-            pmf = load_source_spec(spec_path, tail_eps)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InvalidParameterError(str(exc)) from exc
-        return command(pmf, **kwargs)
-
-    return load
+def _pmf(args: argparse.Namespace) -> Pmf:
+    """The distribution of SPEC and --tail-eps. A spec that does not parse,
+    whatever its shape, is an InvalidParameterError, like any other."""
+    try:
+        return load_source_spec(args.spec, args.tail_eps)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidParameterError(str(exc)) from exc
 
 
-def _eta_input(command):
-    """:func:`_pmf_input` plus --eta and --target-lambda, exactly one of
-    which is given; pass ``command`` the Pmf and the resolved eta."""
-
-    @_pmf_input
-    @click.option("--eta", type=float, default=None, help="Survival probability in [0, 1].")
-    @click.option(
-        "--target-lambda", type=float, default=None, help="Desired post-attenuation mean."
-    )
-    @functools.wraps(command)
-    def resolve(pmf: Pmf, eta: float | None, target_lambda: float | None, **kwargs):
-        if (eta is None) == (target_lambda is None):
-            raise InvalidParameterError("exactly one of --eta / --target-lambda is required")
-        if eta is None:
-            eta = photonthin.eta_for_target_lambda(pmf, target_lambda).eta
-        return command(pmf, eta, **kwargs)
-
-    return resolve
+def _pmf_and_eta(args: argparse.Namespace) -> tuple[Pmf, float]:
+    """:func:`_pmf` plus the eta of --eta or --target-lambda, exactly one
+    of which is given."""
+    pmf = _pmf(args)
+    if (args.eta is None) == (args.target_lambda is None):
+        raise InvalidParameterError("exactly one of --eta / --target-lambda is required")
+    if args.eta is None:
+        return pmf, photonthin.eta_for_target_lambda(pmf, args.target_lambda).eta
+    return pmf, args.eta
 
 
-_n_report_option = click.option(
-    "--n-report", type=click.IntRange(0, _MAX_KERNEL_N), default=DEFAULT_N_REPORT,
-    show_default=True,
-    help="Largest outcome included in per-outcome series.",
-)
-
-
-class _Cli(click.Group):
-    """The one error boundary: a library error or a file that cannot be
-    read or written ends the command with one ``error:`` line on stderr
-    and exit 2. A broken pipe stays with click."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except BrokenPipeError:
-            raise
-        except (PhotonThinError, OSError) as exc:
-            _fail(str(exc))
-
-
-@click.group(cls=_Cli)
-def cli() -> None:
-    """Photon-count statistics under optical attenuation.
-
-    Computes exact thinned distributions, certifies how well a Poisson
-    distribution approximates them, and estimates multi-photon risk for
-    faint pulsed sources.
-    """
-
-
-@cli.command("moments")
-@_pmf_input
-def cmd_moments(pmf: Pmf) -> None:
+def _cmd_moments(args: argparse.Namespace) -> None:
     """Print mean, variance, third factorial moment, c and d as JSON."""
-    ms = moments(pmf)
-    click.echo(
-        json.dumps(
-            {"mean": ms.mean, "var": ms.variance, "m3": ms.m3, "c": ms.c, "d": ms.d}
-        )
-    )
+    ms = moments(_pmf(args))
+    print(json.dumps({"mean": ms.mean, "var": ms.variance, "m3": ms.m3, "c": ms.c, "d": ms.d}))
 
 
-@cli.command("thin")
-@_eta_input
-@_n_report_option
-@click.option("--out", required=True, type=click.Path(), help="Output CSV path.")
-def cmd_thin(pmf: Pmf, eta: float, n_report: int, out: str) -> None:
+def _cmd_thin(args: argparse.Namespace) -> None:
     """Write the thinned vs reference-Poisson table as CSV.
 
     Columns: n, p_eta, p_poisson, delta for n = 0..n-report. Prints the
     resolved lambda and eta as JSON on stdout.
     """
+    pmf, eta = _pmf_and_eta(args)
     q, ref, lam = photonthin.thinned_reference(pmf, eta)
-    rows = [
-        [n, q.mass(n), ref.mass(n), q.mass(n) - ref.mass(n)]
-        for n in range(n_report + 1)
-    ]
-    _write_csv(out, ["n", "p_eta", "p_poisson", "delta"], rows)
-    click.echo(json.dumps({"lambda": lam, "eta": eta}))
+    rows = [[n, q.mass(n), ref.mass(n), q.mass(n) - ref.mass(n)]
+            for n in range(args.n_report + 1)]
+    _write_csv(args.out, ["n", "p_eta", "p_poisson", "delta"], rows)
+    print(json.dumps({"lambda": lam, "eta": eta}))
 
 
-@cli.command("report")
-@_eta_input
-@_n_report_option
-def cmd_report(pmf: Pmf, eta: float, n_report: int) -> None:
+def _cmd_report(args: argparse.Namespace) -> None:
     """Print the full approximation report as JSON."""
-    report = photonthin.build_report(pmf, eta, n_report)
-    click.echo(
-        json.dumps(
-            {
-                "lambda": report.lam,
-                "delta": list(report.delta),
-                "predicted": list(report.predicted),
-                "bound": report.bound,
-                "residuals": list(report.residuals),
-                "tail3": report.tail3,
-                "risk_exact": report.risk_exact,
-                "risk_approx": report.risk_approx,
-            }
-        )
-    )
+    pmf, eta = _pmf_and_eta(args)
+    report = photonthin.build_report(pmf, eta, args.n_report)
+    print(json.dumps({
+        "lambda": report.lam, "delta": list(report.delta), "predicted": list(report.predicted),
+        "bound": report.bound, "residuals": list(report.residuals), "tail3": report.tail3,
+        "risk_exact": report.risk_exact, "risk_approx": report.risk_approx,
+    }))
 
 
-@cli.command("mc")
-@_eta_input
-@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=42, show_default=True)
-@click.option("--trials", type=click.IntRange(1), default=1_000_000, show_default=True)
-def cmd_mc(pmf: Pmf, eta: float, seed: int, trials: int) -> None:
+def _cmd_mc(args: argparse.Namespace) -> None:
     """Simulate pulses through the attenuator and print diagnostics.
 
     The input's tail defect must be at most 1e-09: a poisson spec needs
     a tail_eps of 1e-09 or less.
     """
-    result = photonthin.simulate_thinned(pmf, eta, photonthin.McConfig(seed=seed, trials=trials))
-    click.echo(
-        json.dumps(
-            {
-                "trials": result.trials,
-                "seed": result.seed,
-                "tv_to_analytic": result.tv_to_analytic,
-                "empirical_mean": result.empirical.mean,
-                "analytic_mean": eta * pmf.mean,
-            }
-        )
-    )
+    # The oracle does no BLAS work, so the OpenBLAS thread pool that
+    # importing numpy starts (on the first photonthin.McConfig lookup
+    # below) would only cost start-up time. A value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    pmf, eta = _pmf_and_eta(args)
+    config = photonthin.McConfig(seed=args.seed, trials=args.trials)
+    result = photonthin.simulate_thinned(pmf, eta, config)
+    print(json.dumps({
+        "trials": result.trials, "seed": result.seed, "tv_to_analytic": result.tv_to_analytic,
+        "empirical_mean": result.empirical.mean, "analytic_mean": eta * pmf.mean,
+    }))
 
 
-@cli.command("table1")
-@click.option("--out", required=True, type=click.Path(), help="Output CSV path.")
-def cmd_table1(out: str) -> None:
+def _cmd_table1(args: argparse.Namespace) -> None:
     """Write the built-in error-ladder validation table as CSV.
 
     Six inputs whose lambda^2 * c values step from 0.0045 down to
@@ -304,19 +215,13 @@ def cmd_table1(out: str) -> None:
         report = photonthin.build_report(pmf, eta, n_report=4)
         l2c = report.predicted[0]
         rows.append([l2c, *report.delta[:5]])
-    _write_csv(
-        out, ["lambda2C", "delta0", "delta1", "delta2", "delta3", "delta4"], rows
-    )
+    _write_csv(args.out, ["lambda2C", "delta0", "delta1", "delta2", "delta3", "delta4"], rows)
 
 
 _FIGURE_ETAS = {"fig1": 0.1, "fig2": 0.001, "fig3": 0.0002}
 
 
-@cli.command("figures")
-@click.option(
-    "--out-dir", required=True, type=click.Path(file_okay=False), help="Output directory."
-)
-def cmd_figures(out_dir: str) -> None:
+def _cmd_figures(args: argparse.Namespace) -> None:
     """Write four thinned-vs-Poisson datasets as fig1.csv .. fig4.csv.
 
     fig1-fig3 attenuate the built-in wide bimodal input (mean 488.5, a
@@ -325,12 +230,10 @@ def cmd_figures(out_dir: str) -> None:
     two-point input down to a mean of 0.1, the regime where the Poisson
     approximation visibly fails. Prints eta and lambda per file as JSON.
     """
-    directory = Path(out_dir)
+    directory = Path(args.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     wide = wide_input()
-    jobs: list[tuple[str, Pmf, float]] = [
-        (name, wide, eta) for name, eta in _FIGURE_ETAS.items()
-    ]
+    jobs = [(name, wide, eta) for name, eta in _FIGURE_ETAS.items()]
     heavy = heavy_two_point_input()
     jobs.append(("fig4", heavy, photonthin.eta_for_target_lambda(heavy, 0.1).eta))
 
@@ -341,11 +244,99 @@ def cmd_figures(out_dir: str) -> None:
         rows = [[n, q.mass(n), ref.mass(n)] for n in range(top + 1)]
         _write_csv(directory / f"{name}.csv", ["n", "p_eta", "p_poisson"], rows)
         summary[name] = {"eta": eta, "lambda": lam}
-    click.echo(json.dumps(summary))
+    print(json.dumps(summary))
 
 
-def main() -> None:
-    cli()
+def _int_range(low: int, high: float = math.inf):
+    """An argparse type for an integer in [low, high]."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {low}<=x<={high}")
+        return value
+
+    parse.__name__ = "int"  # argparse's name for the type in "invalid int value"
+    return parse
+
+
+# Each command's arguments, as (flag, add_argument keywords) pairs.
+_HELP = ("--help", {"action": "help", "help": "Show this message and exit."})
+_SPEC = (
+    ("spec", {"metavar": "SPEC", "help": "JSON spec file."}),
+    ("--tail-eps", {"type": float, "metavar": "FLOAT", "help": "Tail mass allowed when "
+                    f"truncating families (default {DEFAULT_TAIL_EPS})."}),
+)
+_ETA = (
+    ("--eta", {"type": float, "metavar": "FLOAT", "help": "Survival probability in [0, 1]."}),
+    ("--target-lambda", {"type": float, "metavar": "FLOAT",
+                         "help": "Desired post-attenuation mean."}),
+)
+_N_REPORT = ("--n-report", {
+    "type": _int_range(0, _MAX_KERNEL_N), "default": DEFAULT_N_REPORT, "metavar": "INTEGER",
+    "help": f"Largest outcome included in per-outcome series (default %(default)s; "
+    f"0<=x<={_MAX_KERNEL_N}).",
+})
+_OUT_CSV = ("--out", {"required": True, "metavar": "PATH", "help": "Output CSV path (required)."})
+_COMMANDS = (
+    (_cmd_moments, _SPEC),
+    (_cmd_thin, (*_SPEC, *_ETA, _N_REPORT, _OUT_CSV)),
+    (_cmd_report, (*_SPEC, *_ETA, _N_REPORT)),
+    (_cmd_mc, (*_SPEC, *_ETA,
+               ("--seed", {"type": _int_range(0, 2**64 - 1), "default": 42, "metavar": "INTEGER",
+                           "help": "Random seed (default %(default)s; 0<=x<=2**64-1)."}),
+               ("--trials", {"type": _int_range(1), "default": 1_000_000, "metavar": "INTEGER",
+                             "help": "Pulses to simulate (default %(default)s; x>=1)."}))),
+    (_cmd_table1, (_OUT_CSV,)),
+    (_cmd_figures, (("--out-dir", {"required": True, "metavar": "DIRECTORY",
+                                   "help": "Output directory (required)."}),)),
+)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="photonthin", add_help=False, allow_abbrev=False,
+        description="Photon-count statistics under optical attenuation. Computes exact "
+        "thinned distributions, certifies how well a Poisson distribution approximates "
+        "them, and estimates multi-photon risk for faint pulsed sources.",
+    )
+    parser.add_argument(_HELP[0], **_HELP[1])
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    for run, arguments in _COMMANDS:
+        sub = commands.add_parser(
+            run.__name__.removeprefix("_cmd_"), help=run.__doc__.partition("\n")[0],
+            description=run.__doc__, add_help=False, allow_abbrev=False,
+            usage="%(prog)s [OPTIONS]" + " SPEC" * (_SPEC[0] in arguments),
+        )
+        sub.set_defaults(run=run)
+        for flag, keywords in (_HELP, *arguments):
+            sub.add_argument(flag, **keywords)
+    return parser
+
+
+def main(args: list[str] | None = None, **_click_keywords) -> None:
+    """Run one command. The one error boundary: a library error or a file
+    that cannot be read or written ends it with one ``error:`` line on
+    stderr and exit 2; a broken pipe exits 1 without a message."""
+    parsed = _parser().parse_args(args)
+    try:
+        parsed.run(parsed)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nothing more can reach the reader; with stdout gone, the flush
+        # at exit does not fail again.
+        sys.stdout = None
+        sys.exit(1)
+    except (PhotonThinError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
+
+
+# perfbench's in-process client calls cli.main(args, prog_name=...,
+# standalone_mode=False), the signature of the click group this module
+# used to have. `main` accepts and ignores those keywords for that caller
+# until the benchmark is next changed (ROADMAP item 5).
+cli = types.SimpleNamespace(main=main)
 
 
 if __name__ == "__main__":

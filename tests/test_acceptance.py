@@ -9,9 +9,8 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from helpers import random_sparse_pmf
+from helpers import random_sparse_pmf, run_cli
 from photonthin import (
     McConfig,
     build_report,
@@ -26,7 +25,7 @@ from photonthin import (
     thin_via_gf,
     tv_distance,
 )
-from photonthin.cli import cli, table1_inputs, wide_input
+from photonthin.cli import table1_inputs, wide_input
 
 EX3 = [(1, 0.95), (1001, 0.05)]
 
@@ -197,9 +196,8 @@ def test_criterion_10_monte_carlo_concordance():
 
 
 def test_criterion_11_figure_data(tmp_path):
-    runner = CliRunner()
     out_dir = tmp_path / "figs"
-    result = runner.invoke(cli, ["figures", "--out-dir", str(out_dir)])
+    result = run_cli(["figures", "--out-dir", str(out_dir)])
     assert result.exit_code == 0
     summary = json.loads(result.output)
     lam2 = summary["fig2"]["lambda"]

@@ -11,18 +11,18 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import photonthin
 from photonthin import moments
 from photonthin.cli import (
-    cli,
     heavy_two_point_input,
     load_source_spec,
     table1_inputs,
     wide_input,
 )
 from photonthin.pmf import _MAX_KERNEL_N
+
+from helpers import run_cli
 
 EX3_SPEC = {"two_point": {"a": 1, "pa": 0.95, "b": 1001, "pb": 0.05}}
 
@@ -33,11 +33,6 @@ SPEC_COMMANDS = {
     "report": ["--eta", "0.1"],
     "mc": ["--eta", "0.1", "--trials", "1000"],
 }
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def write_spec(tmp_path, payload, name="spec.json"):
@@ -67,35 +62,35 @@ def read_csv(path):
 
 
 class TestMomentsCommand:
-    def test_wide_two_point(self, runner, tmp_path):
+    def test_wide_two_point(self, tmp_path):
         spec = write_spec(tmp_path, EX3_SPEC)
-        result = runner.invoke(cli, ["moments", spec])
+        result = run_cli(["moments", spec])
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert abs(payload["c"] - 9.12) <= 0.02
         assert payload["mean"] == pytest.approx(51.0, abs=1e-12)
 
-    def test_poisson(self, runner, tmp_path):
+    def test_poisson(self, tmp_path):
         spec = write_spec(tmp_path, {"poisson": {"mu": 5}})
-        result = runner.invoke(cli, ["moments", spec])
+        result = run_cli(["moments", spec])
         assert result.exit_code == 0
         assert abs(json.loads(result.output)["c"]) <= 1e-8
 
-    def test_deterministic_table(self, runner, tmp_path):
+    def test_deterministic_table(self, tmp_path):
         spec = write_spec(tmp_path, {"table": [[3, 1.0]]})
-        result = runner.invoke(cli, ["moments", spec])
+        result = run_cli(["moments", spec])
         payload = json.loads(result.output)
         assert payload["var"] == 0.0
         assert payload["c"] == pytest.approx(-1.0 / 6.0, rel=1e-15)
 
-    def test_invalid_spec_exits_2(self, runner, tmp_path):
+    def test_invalid_spec_exits_2(self, tmp_path):
         spec = write_spec(tmp_path, {"table": [[0, 0.5], [1, 0.4]]})
-        result = runner.invoke(cli, ["moments", spec])
+        result = run_cli(["moments", spec])
         assert result.exit_code == 2
 
-    def test_zero_mean_exits_2(self, runner, tmp_path):
+    def test_zero_mean_exits_2(self, tmp_path):
         spec = write_spec(tmp_path, {"table": [[0, 1.0]]})
-        result = runner.invoke(cli, ["moments", spec])
+        result = run_cli(["moments", spec])
         assert result.exit_code == 2
 
     @pytest.mark.parametrize(
@@ -107,8 +102,8 @@ class TestMomentsCommand:
         ],
         ids=["point_at_2_53_plus_1", "pair_at_2_53", "pair_at_1e9"],
     )
-    def test_variance_of_large_indices(self, runner, tmp_path, table, var):
-        result = runner.invoke(cli, ["moments", write_spec(tmp_path, {"table": table})])
+    def test_variance_of_large_indices(self, tmp_path, table, var):
+        result = run_cli(["moments", write_spec(tmp_path, {"table": table})])
         assert result.exit_code == 0
         assert json.loads(result.output)["var"] == var
 
@@ -140,9 +135,9 @@ class TestSpecNumbers:
             "a_string", "mu_string", "mu_true", "tail_eps_string",
         ],
     )
-    def test_non_numbers_exit_2(self, runner, tmp_path, payload):
+    def test_non_numbers_exit_2(self, tmp_path, payload):
         spec = write_spec(tmp_path, payload)
-        result = runner.invoke(cli, ["moments", spec])
+        result = run_cli(["moments", spec])
         assert result.exit_code == 2, result.output
 
     @pytest.mark.parametrize(
@@ -155,17 +150,17 @@ class TestSpecNumbers:
         [(True, -5), (True, 1e-3), (True, "1e-12"), (False, "-5"), (False, "nan")],
         ids=["file_negative", "file_above_1e-6", "file_string", "option_negative", "option_nan"],
     )
-    def test_bad_tail_eps_exits_2(self, runner, tmp_path, variant, in_file, value):
+    def test_bad_tail_eps_exits_2(self, tmp_path, variant, in_file, value):
         # The one tail_eps rule holds though only the poisson variant reads it.
         payload = {**variant, "tail_eps": value} if in_file else variant
         option = [] if in_file else ["--tail-eps", value]
-        result = runner.invoke(cli, ["moments", write_spec(tmp_path, payload), *option])
+        result = run_cli(["moments", write_spec(tmp_path, payload), *option])
         assert_one_error_line(result)
         assert "tail_eps" in result.stderr
 
-    def test_integral_float_index(self, runner, tmp_path):
-        as_float = runner.invoke(cli, ["moments", write_spec(tmp_path, {"table": [[3.0, 1.0]]})])
-        as_int = runner.invoke(cli, ["moments", write_spec(tmp_path, {"table": [[3, 1.0]]})])
+    def test_integral_float_index(self, tmp_path):
+        as_float = run_cli(["moments", write_spec(tmp_path, {"table": [[3.0, 1.0]]})])
+        as_int = run_cli(["moments", write_spec(tmp_path, {"table": [[3, 1.0]]})])
         assert as_float.exit_code == 0
         assert as_float.output == as_int.output
 
@@ -173,15 +168,15 @@ class TestSpecNumbers:
         spec = write_spec(tmp_path, {"table": [[9007199254740993, 0.5], [2.0**53, 0.5]]})
         assert load_source_spec(spec).support == (2**53, 2**53 + 1)
 
-    def test_equal_two_point_outcomes_exit_2(self, runner, tmp_path):
+    def test_equal_two_point_outcomes_exit_2(self, tmp_path):
         spec = write_spec(tmp_path, {"two_point": {"a": 3, "pa": 0.5, "b": 3, "pb": 0.5}})
-        assert_one_error_line(runner.invoke(cli, ["moments", spec]))
+        assert_one_error_line(run_cli(["moments", spec]))
 
     @pytest.mark.parametrize("command", ["moments", "report"])
-    def test_index_past_int64_exits_2(self, runner, tmp_path, command):
+    def test_index_past_int64_exits_2(self, tmp_path, command):
         spec = write_spec(tmp_path, {"table": [[10**103, 1.0]]})
         assert_one_error_line(
-            runner.invoke(cli, command_line(tmp_path, command, spec, SPEC_COMMANDS[command]))
+            run_cli(command_line(tmp_path, command, spec, SPEC_COMMANDS[command]))
         )
 
 
@@ -196,33 +191,31 @@ class TestKernelBound:
         ],
         ids=["index_past_bound", "index_1e12", "poisson_1e12"],
     )
-    def test_past_bound_exits_2(self, runner, tmp_path, command, payload):
+    def test_past_bound_exits_2(self, tmp_path, command, payload):
         spec = write_spec(tmp_path, payload)
         assert_one_error_line(
-            runner.invoke(cli, command_line(tmp_path, command, spec, SPEC_COMMANDS[command]))
+            run_cli(command_line(tmp_path, command, spec, SPEC_COMMANDS[command]))
         )
         assert not (tmp_path / "thin.csv").exists()
 
-    def test_poisson_past_bound_moments_exits_2(self, runner, tmp_path):
+    def test_poisson_past_bound_moments_exits_2(self, tmp_path):
         spec = write_spec(tmp_path, {"poisson": {"mu": 1e12}})
-        assert_one_error_line(runner.invoke(cli, ["moments", spec]))
+        assert_one_error_line(run_cli(["moments", spec]))
 
     @pytest.mark.parametrize("command", ["thin", "report"])
-    def test_n_report_past_bound(self, runner, tmp_path, command):
+    def test_n_report_past_bound(self, tmp_path, command):
         spec = write_spec(tmp_path, EX3_SPEC)
         args = [*SPEC_COMMANDS[command], "--n-report", str(_MAX_KERNEL_N + 1)]
-        result = runner.invoke(cli, command_line(tmp_path, command, spec, args))
+        result = run_cli(command_line(tmp_path, command, spec, args))
         assert result.exit_code == 2
-        assert "Invalid value for '--n-report'" in result.stderr
+        assert "--n-report" in result.stderr and str(_MAX_KERNEL_N + 1) in result.stderr
 
 
 class TestThinCommand:
-    def test_approximation_failure_visible(self, runner, tmp_path):
+    def test_approximation_failure_visible(self, tmp_path):
         spec = write_spec(tmp_path, EX3_SPEC)
         out = tmp_path / "thin.csv"
-        result = runner.invoke(
-            cli, ["thin", spec, "--target-lambda", "0.1", "--out", str(out)]
-        )
+        result = run_cli(["thin", spec, "--target-lambda", "0.1", "--out", str(out)])
         assert result.exit_code == 0
         lam = json.loads(result.output)["lambda"]
         assert lam == pytest.approx(0.1, rel=1e-14)
@@ -232,113 +225,126 @@ class TestThinCommand:
         deltas = [row[3] for row in body]
         assert max(abs(d) for d in deltas) > 10.0 * lam**3
 
-    def test_poisson_closure_deltas_vanish(self, runner, tmp_path):
+    def test_poisson_closure_deltas_vanish(self, tmp_path):
         spec = write_spec(tmp_path, {"poisson": {"mu": 100}})
         out = tmp_path / "thin.csv"
-        result = runner.invoke(
-            cli, ["thin", spec, "--target-lambda", "0.1", "--out", str(out)]
-        )
+        result = run_cli(["thin", spec, "--target-lambda", "0.1", "--out", str(out)])
         assert result.exit_code == 0
         _, body = read_csv(out)
         assert all(abs(row[3]) <= 1e-12 for row in body)
 
-    def test_eta_one_reproduces_input(self, runner, tmp_path):
+    def test_eta_one_reproduces_input(self, tmp_path):
         spec = write_spec(tmp_path, EX3_SPEC)
         out = tmp_path / "thin.csv"
-        result = runner.invoke(cli, ["thin", spec, "--eta", "1", "--out", str(out)])
+        result = run_cli(["thin", spec, "--eta", "1", "--out", str(out)])
         assert result.exit_code == 0
         _, body = read_csv(out)
         by_n = {int(row[0]): row[1] for row in body}
         assert by_n[1] == 0.95
         assert by_n[0] == 0.0
 
-    def test_round_trip_and_bitwise_match_with_report(self, runner, tmp_path):
+    def test_round_trip_and_bitwise_match_with_report(self, tmp_path):
         spec = write_spec(tmp_path, EX3_SPEC)
         out = tmp_path / "thin.csv"
-        thin_res = runner.invoke(
-            cli, ["thin", spec, "--target-lambda", "0.1", "--out", str(out)]
-        )
-        report_res = runner.invoke(
-            cli, ["report", spec, "--target-lambda", "0.1"]
-        )
+        thin_res = run_cli(["thin", spec, "--target-lambda", "0.1", "--out", str(out)])
+        report_res = run_cli(["report", spec, "--target-lambda", "0.1"])
         assert thin_res.exit_code == 0 and report_res.exit_code == 0
         _, body = read_csv(out)
         report_delta = json.loads(report_res.output)["delta"]
         assert [row[3] for row in body] == report_delta
 
-    def test_requires_exactly_one_attenuation_flag(self, runner, tmp_path):
+    def test_requires_exactly_one_attenuation_flag(self, tmp_path):
         spec = write_spec(tmp_path, EX3_SPEC)
         out = str(tmp_path / "x.csv")
-        both = runner.invoke(
-            cli,
-            ["thin", spec, "--eta", "0.5", "--target-lambda", "0.1", "--out", out],
-        )
-        neither = runner.invoke(cli, ["thin", spec, "--out", out])
+        both = run_cli(["thin", spec, "--eta", "0.5", "--target-lambda", "0.1", "--out", out])
+        neither = run_cli(["thin", spec, "--out", out])
         assert both.exit_code == 2
         assert neither.exit_code == 2
 
 
 class TestReportCommand:
-    def test_poisson_risk(self, runner, tmp_path):
+    def test_poisson_risk(self, tmp_path):
         spec = write_spec(tmp_path, {"poisson": {"mu": 50}})
-        result = runner.invoke(cli, ["report", spec, "--target-lambda", "0.1"])
+        result = run_cli(["report", spec, "--target-lambda", "0.1"])
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["risk_approx"] == pytest.approx(0.05, abs=1e-9)
         assert payload["risk_exact"] == pytest.approx(0.0492, abs=1e-4)
 
-    def test_wide_two_point_risk(self, runner, tmp_path):
+    def test_wide_two_point_risk(self, tmp_path):
         spec = write_spec(tmp_path, EX3_SPEC)
-        result = runner.invoke(cli, ["report", spec, "--target-lambda", "0.1"])
+        result = run_cli(["report", spec, "--target-lambda", "0.1"])
         payload = json.loads(result.output)
         assert payload["risk_approx"] == pytest.approx(0.9621, abs=1e-4)
         assert 0.6 < payload["risk_exact"] < 0.7
 
-    def test_deterministic_residuals(self, runner, tmp_path):
+    def test_deterministic_residuals(self, tmp_path):
         spec = write_spec(tmp_path, {"table": [[1, 1.0]]})
-        result = runner.invoke(cli, ["report", spec, "--eta", "0.1"])
+        result = run_cli(["report", spec, "--eta", "0.1"])
         payload = json.loads(result.output)
         assert all(abs(r) <= 1e-9 for r in payload["residuals"])
 
 
 class TestMcCommand:
-    def test_single_particle(self, runner, tmp_path):
+    def test_single_particle(self, tmp_path):
         spec = write_spec(tmp_path, {"table": [[1, 1.0]]})
-        result = runner.invoke(
-            cli, ["mc", spec, "--eta", "0.5", "--trials", "1000000"]
-        )
+        result = run_cli(["mc", spec, "--eta", "0.5", "--trials", "1000000"])
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert abs(payload["empirical_mean"] - 0.5) <= 0.0015
         assert payload["seed"] == 42
 
-    def test_zero_eta(self, runner, tmp_path):
+    def test_zero_eta(self, tmp_path):
         spec = write_spec(tmp_path, {"table": [[4, 1.0]]})
-        result = runner.invoke(cli, ["mc", spec, "--eta", "0"])
+        result = run_cli(["mc", spec, "--eta", "0"])
         payload = json.loads(result.output)
         assert payload["tv_to_analytic"] == 0.0
 
-    def test_poisson_sampling_error(self, runner, tmp_path):
+    def test_poisson_sampling_error(self, tmp_path):
         spec = write_spec(tmp_path, {"poisson": {"mu": 5}})
-        result = runner.invoke(
-            cli, ["mc", spec, "--eta", "0.02", "--trials", "10000000"]
-        )
+        result = run_cli(["mc", spec, "--eta", "0.02", "--trials", "10000000"])
         assert result.exit_code == 0
         assert json.loads(result.output)["tv_to_analytic"] <= 0.003
 
-    def test_tail_limit_is_stricter_than_report(self, runner, tmp_path):
+    def test_tail_limit_is_stricter_than_report(self, tmp_path):
         spec = write_spec(tmp_path, {"poisson": {"mu": 5}, "tail_eps": 1e-7})
-        assert runner.invoke(cli, ["report", spec, "--target-lambda", "0.1"]).exit_code == 0
-        result = runner.invoke(cli, ["mc", spec, "--target-lambda", "0.1", "--trials", "1000"])
+        assert run_cli(["report", spec, "--target-lambda", "0.1"]).exit_code == 0
+        result = run_cli(["mc", spec, "--target-lambda", "0.1", "--trials", "1000"])
         assert_one_error_line(result)
         assert "exceeds 1e-09" in result.stderr
-        assert "1e-09" in runner.invoke(cli, ["mc", "--help"]).output
+        assert "1e-09" in run_cli(["mc", "--help"]).output
+
+    @pytest.mark.parametrize(
+        "command, preset, seen",
+        [("mc", None, "1"), ("mc", "3", "3"), ("report", None, "None")],
+        ids=["mc_unset", "mc_user_set", "report_unset"],
+    )
+    def test_openblas_threads_pinned_only_by_mc_when_unset(
+        self, tmp_path, monkeypatch, command, preset, seen
+    ):
+        # numpy starts OpenBLAS's thread pool on import, which the oracle
+        # never uses; mc asks for one thread unless the user chose a count.
+        if preset is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        spec = write_spec(tmp_path, EX3_SPEC)
+        out = _run_fresh(
+            "import os\n"
+            "from photonthin.cli import main\n"
+            "try:\n"
+            "    main()\n"
+            "finally:\n"
+            "    print(os.environ.get('OPENBLAS_NUM_THREADS'))",
+            *command_line(tmp_path, command, spec, SPEC_COMMANDS[command]),
+        )
+        assert out.splitlines()[-1] == seen
 
 
 class TestTable1Command:
-    def test_ladder_values_and_envelope(self, runner, tmp_path):
+    def test_ladder_values_and_envelope(self, tmp_path):
         out = tmp_path / "t1.csv"
-        result = runner.invoke(cli, ["table1", "--out", str(out)])
+        result = run_cli(["table1", "--out", str(out)])
         assert result.exit_code == 0
         header, body = read_csv(out)
         assert header == ["lambda2C", "delta0", "delta1", "delta2", "delta3", "delta4"]
@@ -361,18 +367,18 @@ class TestTable1Command:
         # The root a bracketing solver found before the closed form.
         assert abs(w - 0.13372484905589) <= 1e-13
 
-    def test_negative_row_flips_delta1_sign(self, runner, tmp_path):
+    def test_negative_row_flips_delta1_sign(self, tmp_path):
         out = tmp_path / "t1.csv"
-        runner.invoke(cli, ["table1", "--out", str(out)])
+        run_cli(["table1", "--out", str(out)])
         _, body = read_csv(out)
         last = body[-1]
         assert last[0] < 0.0 and last[1] < 0.0 and last[2] > 0.0
 
 
 class TestFiguresCommand:
-    def test_emits_four_files_with_expected_lambdas(self, runner, tmp_path):
+    def test_emits_four_files_with_expected_lambdas(self, tmp_path):
         out_dir = tmp_path / "figs"
-        result = runner.invoke(cli, ["figures", "--out-dir", str(out_dir)])
+        result = run_cli(["figures", "--out-dir", str(out_dir)])
         assert result.exit_code == 0
         summary = json.loads(result.output)
         assert abs(summary["fig2"]["lambda"] - 0.4885) <= 1e-9
@@ -382,16 +388,16 @@ class TestFiguresCommand:
             assert header == ["n", "p_eta", "p_poisson"]
             assert body
 
-    def test_fig1_far_from_poisson_fig3_close(self, runner, tmp_path):
+    def test_fig1_far_from_poisson_fig3_close(self, tmp_path):
         out_dir = tmp_path / "figs"
-        runner.invoke(cli, ["figures", "--out-dir", str(out_dir)])
+        run_cli(["figures", "--out-dir", str(out_dir)])
         _, fig1 = read_csv(out_dir / "fig1.csv")
         tv1 = 0.5 * math.fsum(abs(row[1] - row[2]) for row in fig1)
         assert tv1 > 0.1
         _, fig3 = read_csv(out_dir / "fig3.csv")
         ms = moments(wide_input())
         lam = json.loads(
-            CliRunner().invoke(cli, ["figures", "--out-dir", str(out_dir)]).output
+            run_cli(["figures", "--out-dir", str(out_dir)]).output
         )["fig3"]["lambda"]
         gap = max(abs(row[1] - row[2]) for row in fig3)
         assert gap <= lam**2 * (ms.c + 1.0) + (ms.d + 1.0) * lam**3
@@ -410,10 +416,10 @@ class TestErrorBoundary:
         [{"poisson": 5}, {"table": [1]}, {"two_point": []}, None],
         ids=["poisson_number", "table_of_numbers", "two_point_list", "missing_file"],
     )
-    def test_malformed_spec(self, runner, tmp_path, command, payload):
+    def test_malformed_spec(self, tmp_path, command, payload):
         spec = str(tmp_path / "absent.json") if payload is None else write_spec(tmp_path, payload)
         assert_one_error_line(
-            runner.invoke(cli, command_line(tmp_path, command, spec, SPEC_COMMANDS[command]))
+            run_cli(command_line(tmp_path, command, spec, SPEC_COMMANDS[command]))
         )
         assert not (tmp_path / "thin.csv").exists()
 
@@ -429,9 +435,9 @@ class TestErrorBoundary:
         ids=["moments_zero_mean", "thin_target_above_mean", "thin_no_eta", "report_eta_above_1",
              "mc_negative_eta"],
     )
-    def test_library_error(self, runner, tmp_path, payload, name, args):
+    def test_library_error(self, tmp_path, payload, name, args):
         spec = write_spec(tmp_path, payload)
-        assert_one_error_line(runner.invoke(cli, command_line(tmp_path, name, spec, args)))
+        assert_one_error_line(run_cli(command_line(tmp_path, name, spec, args)))
         assert not (tmp_path / "thin.csv").exists()
 
     @pytest.mark.parametrize(
@@ -443,29 +449,41 @@ class TestErrorBoundary:
         ],
         ids=["thin", "table1", "figures"],
     )
-    def test_unwritable_output(self, runner, tmp_path, args):
+    def test_unwritable_output(self, tmp_path, args):
         blocker = tmp_path / "blocker"
         blocker.write_text("a regular file, not a directory")
         spec = write_spec(tmp_path, EX3_SPEC)
         args = [a.replace("SPEC", spec).replace("BLOCKER", str(blocker)) for a in args]
-        assert_one_error_line(runner.invoke(cli, args))
+        assert_one_error_line(run_cli(args))
 
-    def test_broken_pipe_stays_with_click(self, runner, tmp_path, monkeypatch):
+    def test_broken_pipe_exits_1_without_error_line(self, tmp_path, monkeypatch):
         def closed_reader(pmf):
             raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
         monkeypatch.setattr(photonthin.cli, "moments", closed_reader)
-        result = runner.invoke(cli, ["moments", write_spec(tmp_path, EX3_SPEC)])
+        result = run_cli(["moments", write_spec(tmp_path, EX3_SPEC)])
         assert result.exit_code == 1
         assert "error:" not in result.stderr
 
+    def test_abbreviated_option_exits_2(self, tmp_path):
+        # --target is not taken for --target-lambda.
+        out = _run_fresh(
+            "from photonthin.cli import main\n"
+            "try:\n"
+            "    main()\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code)",
+            "report", write_spec(tmp_path, EX3_SPEC), "--target", "0.1",
+        )
+        assert out == "2"
+
     @pytest.mark.parametrize("command", ["thin", "report"])
-    def test_negative_n_report(self, runner, tmp_path, command):
+    def test_negative_n_report(self, tmp_path, command):
         spec = write_spec(tmp_path, EX3_SPEC)
         args = [*SPEC_COMMANDS[command], "--n-report", "-1"]
-        result = runner.invoke(cli, command_line(tmp_path, command, spec, args))
+        result = run_cli(command_line(tmp_path, command, spec, args))
         assert result.exit_code == 2
-        assert "Invalid value for '--n-report'" in result.stderr
+        assert "--n-report" in result.stderr and "-1" in result.stderr
         assert not (tmp_path / "thin.csv").exists()
 
 
@@ -481,8 +499,8 @@ class TestHelp:
             ("figures", ["--out-dir"]),
         ],
     )
-    def test_lists_exactly_the_command_options(self, runner, command, options):
-        result = runner.invoke(cli, [command, "--help"])
+    def test_lists_exactly_the_command_options(self, command, options):
+        result = run_cli([command, "--help"])
         assert result.exit_code == 0
         assert sorted(re.findall(r"^\s+(--[a-z-]+)", result.output, flags=re.M)) == sorted(
             [*options, "--help"]
@@ -492,10 +510,10 @@ class TestHelp:
 
 
 class TestCsvRoundTrip:
-    def test_twelve_significant_digits(self, runner, tmp_path):
+    def test_twelve_significant_digits(self, tmp_path):
         spec = write_spec(tmp_path, EX3_SPEC)
         out = tmp_path / "thin.csv"
-        runner.invoke(cli, ["thin", spec, "--target-lambda", "0.1", "--out", str(out)])
+        run_cli(["thin", spec, "--target-lambda", "0.1", "--out", str(out)])
         with open(out) as fh:
             lines = fh.read().splitlines()
         for line in lines[1:]:
@@ -586,8 +604,9 @@ class TestImports:
         ids=["moments", "report", "thin", "table1", "figures", "mc"],
     )
     def test_each_command_loads_only_its_kernels(self, tmp_path, args, kernels):
-        # The kernel modules a command leaves in sys.modules, and whether
-        # numpy loaded, after it runs in a fresh interpreter.
+        # The kernel modules a command leaves in sys.modules, whether
+        # numpy loaded, and the click modules (none) after it runs in a
+        # fresh interpreter.
         spec = write_spec(tmp_path, {"table": [[0, 0.25], [3, 0.5], [7, 0.25]]})
         args = [a.replace("SPEC", spec).replace("OUT", str(tmp_path)) for a in args]
         out = _run_fresh(
@@ -598,10 +617,11 @@ class TestImports:
             "finally:\n"
             "    kernels = ('approximation', 'montecarlo', 'thinning')\n"
             "    print([k for k in kernels if f'photonthin.{k}' in sys.modules],"
-            " 'numpy' in sys.modules)",
+            " 'numpy' in sys.modules)\n"
+            "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'))",
             *args,
         )
-        assert out.splitlines()[-1] == kernels
+        assert out.splitlines()[-2:] == [kernels, "[]"]
 
     def test_kernels_load_on_first_use(self):
         out = _run_fresh(
