@@ -13,9 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AllVacuumError, DegenerateLambdaError, InvalidParameterError
-from .pmf import _MAX_KERNEL_N, DEFAULT_N_REPORT, Pmf, _as_int, moments, poisson_family
-from .thinning import AttenuationCoefficient, _as_eta, thin_direct
+from .errors import AllVacuumError, DegenerateLambdaError
+from .pmf import (
+    _MAX_KERNEL_N, DEFAULT_N_REPORT, AttenuationCoefficient, Pmf, _as_eta, _as_finite, _as_int_in,
+    _as_positive, moments, poisson_family,
+)
+from .thinning import thin_direct
 
 _REFERENCE_TAIL_EPS = 1e-14
 
@@ -54,12 +57,9 @@ def thinned_reference(
     bit-identical numbers.
     """
     eta = _as_eta(eta)
-    mean = p.mean
-    lam = eta * mean
+    lam = eta * p.mean
     if lam <= 0.0:
-        raise DegenerateLambdaError(
-            f"post-attenuation mean is {lam!r}; need eta > 0 and mean > 0"
-        )
+        raise DegenerateLambdaError(f"post-attenuation mean is {lam!r}; need eta > 0 and mean > 0")
     q = thin_direct(p, eta)
     ref = poisson_family(lam, _REFERENCE_TAIL_EPS)
     return q, ref, lam
@@ -75,9 +75,7 @@ def build_report(
         ZeroMeanError: if the input mean is zero.
         DegenerateLambdaError: if eta * mean is zero.
     """
-    n_report = _as_int("n_report", n_report)
-    if not 0 <= n_report <= _MAX_KERNEL_N:
-        raise InvalidParameterError(f"n_report must lie in [0, {_MAX_KERNEL_N}], got {n_report!r}")
+    n_report = _as_int_in("n_report", n_report, 0, _MAX_KERNEL_N)
     ms = moments(p)
     q, ref, lam = thinned_reference(p, eta)
 
@@ -107,9 +105,9 @@ def build_report(
 
 
 def predicted_delta(c: float, lam: float) -> tuple[float, float, float]:
-    """Leading quadratic deviations at n = 0, 1, 2: (l2c, -2*l2c, l2c)."""
-    if lam <= 0.0:
-        raise InvalidParameterError(f"lambda must be positive, got {lam!r}")
+    """Leading quadratic deviations at n = 0, 1, 2: (l2c, -2*l2c, l2c), for a
+    finite c and a positive, finite lam."""
+    c, lam = _as_finite("c", c), _as_positive("lambda", lam)
     l2c = lam * lam * c
     return (l2c, -2.0 * l2c, l2c)
 
@@ -135,11 +133,11 @@ def _mass_from(q: Pmf, k: int) -> float:
 
 
 def risk_approx(c: float, lam: float) -> float:
-    """First-order risk estimate (1/2 + c) * lambda.
+    """First-order risk estimate (1/2 + c) * lambda, for a finite c and a
+    positive, finite lam.
 
     Not clamped: a value above one signals the approximation's breakdown
     regime and must stay visible.
     """
-    if lam <= 0.0:
-        raise InvalidParameterError(f"lambda must be positive, got {lam!r}")
+    c, lam = _as_finite("c", c), _as_positive("lambda", lam)
     return (0.5 + c) * lam

@@ -18,9 +18,10 @@ every other value is a JSON number, and bools and strings are rejected.
 
 Exit codes: 0 success, 2 validation or usage error, 1 internal error or
 broken pipe. A spec that is unreadable or malformed in any shape, a
-library error, a negative --n-report and an output path that cannot be
-written all exit 2; a usage error prints argparse's usage line, the
-others one ``error:`` line on stderr.
+library error, an option out of range (checked by the library's rules)
+and an output path that cannot be written all exit 2 with one ``error:``
+line on stderr; a usage error (an unknown or abbreviated option, or a
+value that is not a number) prints argparse's usage line.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ import photonthin
 
 from .errors import InvalidParameterError, PhotonThinError
 from .pmf import (
-    _MAX_KERNEL_N, DEFAULT_N_REPORT, DEFAULT_TAIL_EPS, Pmf, _as_tail_eps, make_pmf, moments,
-    poisson_family,
+    _MAX_KERNEL_N, DEFAULT_N_REPORT, DEFAULT_TAIL_EPS, Pmf, _as_int_in, _as_tail_eps, make_pmf,
+    moments, poisson_family,
 )
 
 _TABLE1_LAMBDA = 0.1
@@ -60,9 +61,7 @@ def load_source_spec(path: str | Path, tail_eps: float | None = None) -> Pmf:
         raise ValueError("spec file must contain a JSON object")
     variants = [k for k in ("table", "poisson", "two_point") if k in data]
     if len(variants) != 1:
-        raise ValueError(
-            "spec must contain exactly one of 'table', 'poisson', 'two_point'"
-        )
+        raise ValueError("spec must contain exactly one of 'table', 'poisson', 'two_point'")
     if tail_eps is None:
         tail_eps = data.get("tail_eps", DEFAULT_TAIL_EPS)
     # Checked for every variant, though only the poisson one reads it.
@@ -164,18 +163,19 @@ def _cmd_thin(args: argparse.Namespace) -> None:
     Columns: n, p_eta, p_poisson, delta for n = 0..n-report. Prints the
     resolved lambda and eta as JSON on stdout.
     """
+    n_report = _as_int_in("--n-report", args.n_report, 0, _MAX_KERNEL_N)
     pmf, eta = _pmf_and_eta(args)
     q, ref, lam = photonthin.thinned_reference(pmf, eta)
-    rows = [[n, q.mass(n), ref.mass(n), q.mass(n) - ref.mass(n)]
-            for n in range(args.n_report + 1)]
+    rows = [[n, q.mass(n), ref.mass(n), q.mass(n) - ref.mass(n)] for n in range(n_report + 1)]
     _write_csv(args.out, ["n", "p_eta", "p_poisson", "delta"], rows)
     print(json.dumps({"lambda": lam, "eta": eta}))
 
 
 def _cmd_report(args: argparse.Namespace) -> None:
     """Print the full approximation report as JSON."""
+    n_report = _as_int_in("--n-report", args.n_report, 0, _MAX_KERNEL_N)
     pmf, eta = _pmf_and_eta(args)
-    report = photonthin.build_report(pmf, eta, args.n_report)
+    report = photonthin.build_report(pmf, eta, n_report)
     print(json.dumps({
         "lambda": report.lam, "delta": list(report.delta), "predicted": list(report.predicted),
         "bound": report.bound, "residuals": list(report.residuals), "tail3": report.tail3,
@@ -247,19 +247,6 @@ def _cmd_figures(args: argparse.Namespace) -> None:
     print(json.dumps(summary))
 
 
-def _int_range(low: int, high: float = math.inf):
-    """An argparse type for an integer in [low, high]."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"{value} is not in the range {low}<=x<={high}")
-        return value
-
-    parse.__name__ = "int"  # argparse's name for the type in "invalid int value"
-    return parse
-
-
 # Each command's arguments, as (flag, add_argument keywords) pairs.
 _HELP = ("--help", {"action": "help", "help": "Show this message and exit."})
 _SPEC = (
@@ -273,7 +260,7 @@ _ETA = (
                          "help": "Desired post-attenuation mean."}),
 )
 _N_REPORT = ("--n-report", {
-    "type": _int_range(0, _MAX_KERNEL_N), "default": DEFAULT_N_REPORT, "metavar": "INTEGER",
+    "type": int, "default": DEFAULT_N_REPORT, "metavar": "INTEGER",
     "help": f"Largest outcome included in per-outcome series (default %(default)s; "
     f"0<=x<={_MAX_KERNEL_N}).",
 })
@@ -283,9 +270,9 @@ _COMMANDS = (
     (_cmd_thin, (*_SPEC, *_ETA, _N_REPORT, _OUT_CSV)),
     (_cmd_report, (*_SPEC, *_ETA, _N_REPORT)),
     (_cmd_mc, (*_SPEC, *_ETA,
-               ("--seed", {"type": _int_range(0, 2**64 - 1), "default": 42, "metavar": "INTEGER",
+               ("--seed", {"type": int, "default": 42, "metavar": "INTEGER",
                            "help": "Random seed (default %(default)s; 0<=x<=2**64-1)."}),
-               ("--trials", {"type": _int_range(1), "default": 1_000_000, "metavar": "INTEGER",
+               ("--trials", {"type": int, "default": 1_000_000, "metavar": "INTEGER",
                              "help": "Pulses to simulate (default %(default)s; x>=1)."}))),
     (_cmd_table1, (_OUT_CSV,)),
     (_cmd_figures, (("--out-dir", {"required": True, "metavar": "DIRECTORY",

@@ -54,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .pmf import _MAX_KERNEL_N, Pmf, _as_int, tv_distance
-from .thinning import AttenuationCoefficient, _as_eta, thin_direct
+from .pmf import AttenuationCoefficient, Pmf, _as_eta, _as_int_in, _check_kernel_bound, tv_distance
+from .thinning import thin_direct
 
 _MAX_INPUT_DEFECT = 1e-9
 
@@ -99,12 +99,8 @@ class McConfig:
     trials: int
 
     def __post_init__(self) -> None:
-        for name in ("seed", "trials"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
-        if not (0 <= self.seed < 2**64):
-            raise InvalidParameterError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
-        if self.trials < 1:
-            raise InvalidParameterError(f"trials must be >= 1, got {self.trials!r}")
+        object.__setattr__(self, "seed", _as_int_in("seed", self.seed, 0, 2**64 - 1))
+        object.__setattr__(self, "trials", _as_int_in("trials", self.trials, 1))
 
 
 @dataclass(frozen=True)
@@ -156,21 +152,16 @@ def simulate_thinned(
 
     Raises:
         InvalidParameterError: workers is not an integer >= 1, eta is
-            not in [0, 1], the input's tail defect exceeds 1e-9, or the
-            input table is empty or reaches past the kernel bound 2**20.
+            not in [0, 1], the input's tail defect exceeds 1e-9 (as an
+            empty table's does) or the input reaches past index 2**20.
     """
-    workers = _as_int("workers", workers)
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be >= 1, got {workers!r}")
+    _as_int_in("workers", workers, 1)
     eta = _as_eta(eta)
     if p.tail_defect > _MAX_INPUT_DEFECT:
         raise InvalidParameterError(
             f"input tail defect {p.tail_defect!r} exceeds {_MAX_INPUT_DEFECT}"
         )
-    if not p.entries:
-        raise InvalidParameterError("cannot sample from an empty table")
-    if p.max_index > _MAX_KERNEL_N:
-        raise InvalidParameterError(f"outcome index {p.max_index} exceeds {_MAX_KERNEL_N}")
+    _check_kernel_bound(p)
 
     sup, mas = p.arrays()
     # Increments of the CDF clamped at 1: a lossy table summing to up to

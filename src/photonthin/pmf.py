@@ -79,6 +79,51 @@ def _as_tail_eps(tail_eps: object) -> float:
     return tail_eps
 
 
+def _as_int_in(name: str, value: object, low: int, high: float = math.inf) -> int:
+    """value as an int (the rule of ``_as_int``) in [low, high]."""
+    value = _as_int(name, value)
+    if not low <= value <= high:
+        bounds = f"lie in [{low}, {high}]" if high < math.inf else f"be >= {low}"
+        raise InvalidParameterError(f"{name} must {bounds}, got {value!r}")
+    return value
+
+
+def _as_unit(name: str, value: object) -> float:
+    """value as a float (the rule of ``_as_real``) in [0, 1]."""
+    value = _as_real(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
+    return value
+
+
+def _as_positive(name: str, value: object) -> float:
+    """value as a positive, finite float (the rule of ``_as_real``)."""
+    value = _as_real(name, value)
+    if not 0.0 < value < math.inf:
+        raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def _as_finite(name: str, value: object) -> float:
+    """value as a finite float (the rule of ``_as_real``)."""
+    value = _as_real(name, value)
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _as_eta(eta: float | AttenuationCoefficient) -> float:
+    """An attenuation coefficient's eta, or a number checked as one."""
+    if isinstance(eta, AttenuationCoefficient):
+        return eta.eta
+    return _as_unit("attenuation coefficient", eta)
+
+
+def _check_kernel_bound(p: Pmf) -> None:
+    if p.max_index > _MAX_KERNEL_N:
+        raise InvalidParameterError(f"outcome index {p.max_index} exceeds {_MAX_KERNEL_N}")
+
+
 class CompensatedSum:
     """Running Neumaier-compensated sum.
 
@@ -112,11 +157,7 @@ class AttenuationCoefficient:
     eta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eta", _as_real("attenuation coefficient", self.eta))
-        if not (0.0 <= self.eta <= 1.0):
-            raise InvalidParameterError(
-                f"attenuation coefficient must lie in [0, 1], got {self.eta!r}"
-            )
+        object.__setattr__(self, "eta", _as_unit("attenuation coefficient", self.eta))
 
 
 @dataclass(frozen=True)
@@ -265,9 +306,7 @@ def poisson_family(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
             or the table would reach past the kernel bound or stay above
             ``tail_eps`` * 2**-53 up to it (mean 1e4, ``tail_eps`` 1e-300).
     """
-    mu, tail_eps = _as_real("poisson mean", mu), _as_tail_eps(tail_eps)
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise InvalidParameterError(f"poisson mean must be positive, got {mu!r}")
+    mu, tail_eps = _as_positive("poisson mean", mu), _as_tail_eps(tail_eps)
     log_mu = math.log(mu)
     hard_cap = int(mu + 20.0 * math.sqrt(mu + 1.0) + 400.0)
     if hard_cap > _MAX_KERNEL_N:

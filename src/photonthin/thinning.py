@@ -16,8 +16,11 @@ from functools import partial
 from itertools import accumulate, chain, repeat, takewhile
 from operator import add, le, mul, truediv
 
-from .errors import InvalidParameterError, TargetExceedsMeanError
-from .pmf import _MAX_KERNEL_N, AttenuationCoefficient, CompensatedSum, Pmf, _as_int, _as_real
+from .errors import TargetExceedsMeanError
+from .pmf import (
+    AttenuationCoefficient, CompensatedSum, Pmf, _as_eta, _as_int_in, _as_positive, _as_unit,
+    _check_kernel_bound,
+)
 
 # Output truncation: stop once the cumulative mass is within this of
 # everything the input had to give; below double-precision resolution of
@@ -34,11 +37,6 @@ _TINY = sys.float_info.min
 _PRUNE = 2.0**-70
 _PRUNE_EVERY = 16
 _NEGLIGIBLE = 2.0**-64
-
-
-def _check_kernel_bound(p: Pmf) -> None:
-    if p.max_index > _MAX_KERNEL_N:
-        raise InvalidParameterError(f"outcome index {p.max_index} exceeds {_MAX_KERNEL_N}")
 
 
 def _gf_atoms(p: Pmf) -> list[tuple[int, float, float]]:
@@ -65,19 +63,9 @@ def gf_derivative(p: Pmf, order: int, z: float) -> float:
     Computes sum over N >= order of N!/(N-order)! * p(N) * z^(N-order) by
     :func:`_log_gf_sum`; a result past the float range degrades to inf.
     """
-    order, z = _as_int("derivative order", order), _as_real("evaluation point", z)
-    if not 0 <= order < 2**63:
-        raise InvalidParameterError(f"derivative order must lie in [0, 2**63), got {order!r}")
-    if not (0.0 <= z <= 1.0):
-        raise InvalidParameterError(f"evaluation point must lie in [0, 1], got {z!r}")
+    order, z = _as_int_in("derivative order", order, 0, 2**63 - 1), _as_unit("evaluation point", z)
     log_sum = _log_gf_sum(_gf_atoms(p), order, math.log(z) if z > 0.0 else -math.inf)
     return math.inf if log_sum > _MAX_LOG else math.exp(log_sum)
-
-
-def _as_eta(eta: float | AttenuationCoefficient) -> float:
-    if isinstance(eta, AttenuationCoefficient):
-        return eta.eta
-    return AttenuationCoefficient(eta).eta
 
 
 def _truncated(p: Pmf, entries: list[tuple[int, float]]) -> Pmf:
@@ -193,9 +181,7 @@ def thin_via_gf(p: Pmf, eta: float | AttenuationCoefficient, n_max: int) -> Pmf:
     long before the product does. The defect is the inherited one plus
     what the n_max cutoff leaves of the input's total mass.
     """
-    n_max = _as_int("n_max", n_max)
-    if n_max < 0:
-        raise InvalidParameterError(f"n_max must be a nonnegative int, got {n_max!r}")
+    n_max = _as_int_in("n_max", n_max, 0)
     eta = _as_eta(eta)
     if eta == 0.0:
         return Pmf(((0, p.total_mass),), tail_defect=p.tail_defect)
@@ -221,9 +207,7 @@ def eta_for_target_lambda(p: Pmf, target_lambda: float) -> AttenuationCoefficien
         InvalidParameterError: if the target is not positive and finite.
         TargetExceedsMeanError: if the target exceeds mean(p).
     """
-    target_lambda = _as_real("target mean", target_lambda)
-    if not (math.isfinite(target_lambda) and target_lambda > 0.0):
-        raise InvalidParameterError(f"target mean must be positive and finite, got {target_lambda!r}")
+    target_lambda = _as_positive("target mean", target_lambda)
     mean = p.mean
     if target_lambda > mean:
         raise TargetExceedsMeanError(f"target mean {target_lambda} exceeds input mean {mean}")

@@ -209,6 +209,8 @@ class TestKernelBound:
         result = run_cli(command_line(tmp_path, command, spec, args))
         assert result.exit_code == 2
         assert "--n-report" in result.stderr and str(_MAX_KERNEL_N + 1) in result.stderr
+        assert_one_error_line(result)
+        assert not (tmp_path / "thin.csv").exists()
 
 
 class TestThinCommand:
@@ -484,7 +486,23 @@ class TestErrorBoundary:
         result = run_cli(command_line(tmp_path, command, spec, args))
         assert result.exit_code == 2
         assert "--n-report" in result.stderr and "-1" in result.stderr
+        assert_one_error_line(result)
         assert not (tmp_path / "thin.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--seed", "-1"], ["--seed", str(2**64)], ["--trials", "0"]],
+        ids=["seed_negative", "seed_past_2_64", "trials_zero"],
+    )
+    def test_mc_option_out_of_range(self, tmp_path, args):
+        spec = write_spec(tmp_path, EX3_SPEC)
+        assert_one_error_line(run_cli(["mc", spec, "--eta", "0.1", *args]))
+
+    def test_non_integer_option_is_a_usage_error(self, tmp_path):
+        spec = write_spec(tmp_path, EX3_SPEC)
+        result = run_cli(["mc", spec, "--eta", "0.1", "--trials", "1.5"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("usage:")
 
 
 class TestHelp:

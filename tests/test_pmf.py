@@ -26,6 +26,8 @@ from photonthin import (
     make_pmf,
     moments,
     poisson_family,
+    predicted_delta,
+    risk_approx,
     simulate_thinned,
     thin_direct,
     thin_via_gf,
@@ -344,7 +346,8 @@ class TestTvDistance:
         assert tv_distance(p, p) == pytest.approx(p.tail_defect, rel=1e-12)
 
 
-# The bad values of the CLI's TestSpecNumbers, by name.
+# The bad values of the CLI's TestSpecNumbers, by name, plus the two
+# non-finite floats.
 BAD_VALUES = {
     "bool": True,
     "string": "3",
@@ -354,6 +357,8 @@ BAD_VALUES = {
     "float_past_2_53": 9007199254740994.0,
     "1e300": 1e300,
     "10**400": 10**400,
+    "nan": math.nan,
+    "inf": math.inf,
 }
 
 # Each parameter under the input contract, as a call that passes it the value.
@@ -368,16 +373,42 @@ CONTRACT_TARGETS = {
     "n_max": lambda v: thin_via_gf(make_pmf(EX3_PAIRS), 0.1, n_max=v),
     "order": lambda v: gf_derivative(make_pmf(EX3_PAIRS), v, 0.5),
     "z": lambda v: gf_derivative(make_pmf(EX3_PAIRS), 1, v),
+    "predicted_c": lambda v: predicted_delta(v, 0.1),
+    "predicted_lambda": lambda v: predicted_delta(0.1, v),
+    "risk_c": lambda v: risk_approx(v, 0.1),
+    "risk_lambda": lambda v: risk_approx(0.1, v),
+    "seed": lambda v: McConfig(seed=v, trials=10),
+    "trials": lambda v: McConfig(seed=1, trials=v),
+    "workers": lambda v: simulate_thinned(make_pmf(EX3_PAIRS), 0.1, McConfig(1, 10), workers=v),
 }
 
-# Pairs where the value is legal (a mean of 1.5, an n_max of 10**400) or is
-# refused by another typed error: a mass of -1 is a NegativeMassError, a
-# mass of 1.5 a NotNormalizedError, a target of 1e300 above ex3's mean a
-# TargetExceedsMeanError.
+# Pairs where the value is legal or is refused by another typed error.
+# Legal: a mean or target of 1.5; an n_max, trial count or worker count of
+# 10**400, since those have no upper bound; any finite c, negative or 1e300
+# included; a lambda of 1.5, 2**53 + 2 or 1e300. Refused otherwise: a mass
+# of -1, nan or inf is a NegativeMassError, a mass of 1.5 a
+# NotNormalizedError, a target of 2**53 + 2 or 1e300, above ex3's mean of
+# 51, a TargetExceedsMeanError.
 NOT_APPLICABLE = {
     ("mass", "fraction"), ("mass", "negative"), ("mass", "float_past_2_53"), ("mass", "1e300"),
+    ("mass", "nan"), ("mass", "inf"),
     ("mu", "fraction"), ("target_lambda", "fraction"), ("target_lambda", "float_past_2_53"),
-    ("target_lambda", "1e300"), ("n_max", "10**400"),
+    ("target_lambda", "1e300"), ("n_max", "10**400"), ("trials", "10**400"),
+    ("workers", "10**400"),
+    *((target, value) for target in ("predicted_c", "risk_c")
+      for value in ("fraction", "negative", "float_past_2_53", "1e300")),
+    *((target, value) for target in ("predicted_lambda", "risk_lambda")
+      for value in ("fraction", "float_past_2_53", "1e300")),
+}
+
+# Each integer parameter's bound and the value one past it.
+INTEGER_EDGES = {
+    "order": (2**63 - 1, 2**63),
+    "seed": (2**64 - 1, 2**64),
+    "n_report": (_MAX_KERNEL_N, _MAX_KERNEL_N + 1),
+    "trials": (1, 0),
+    "workers": (1, 0),
+    "n_max": (0, -1),
 }
 
 CONTRACT_CASES = [
@@ -395,6 +426,13 @@ class TestInputContract:
     def test_bad_value_is_invalid_parameter(self, target, value):
         with pytest.raises(InvalidParameterError):
             CONTRACT_TARGETS[target](BAD_VALUES[value])
+
+    @pytest.mark.parametrize("target", INTEGER_EDGES)
+    def test_integer_rule_at_its_edges(self, target):
+        bound, past = INTEGER_EDGES[target]
+        CONTRACT_TARGETS[target](bound)
+        with pytest.raises(InvalidParameterError):
+            CONTRACT_TARGETS[target](past)
 
     def test_numpy_scalars_accepted(self):
         p = make_pmf([(np.int64(n), np.float64(m)) for n, m in EX3_PAIRS])
