@@ -2,7 +2,7 @@
 
 ``thin_direct`` steps each atom's binomial terms by the ratio of
 consecutive terms; ``thin_via_gf`` goes through generating-function
-derivatives at 1 - eta, in log space from ``math.lgamma``. The routes
+derivatives at 1 - eta, each term one ``exp`` of lgamma logs. The routes
 share no arithmetic, and high-precision reference tests, the semigroup
 property and the Monte Carlo oracle check both. Pure Python: no numpy.
 """
@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from collections.abc import Iterator
 from functools import partial
 from itertools import accumulate, chain, repeat, takewhile
-from operator import add, le, mul, truediv
+from operator import add, le, mul, sub, truediv
 
 from .errors import TargetExceedsMeanError
 from .pmf import (
@@ -39,32 +40,42 @@ _PRUNE_EVERY = 16
 _NEGLIGIBLE = 2.0**-64
 
 
-def _gf_atoms(p: Pmf) -> list[tuple[int, float, float]]:
-    """(N, log N!, log p(N)) for every atom of ``p`` with positive mass."""
+def _gf_atoms(p: Pmf, log_z: float, order: int = 0) -> tuple[list[int], list[float], list[float]]:
+    """Columns N, log N! and log p(N) + (N - order) log z over the atoms of
+    ``p`` with positive mass, ascending in N."""
     _check_kernel_bound(p)
-    return [(n, math.lgamma(n + 1), math.log(m)) for n, m in p.entries if m > 0.0]
+    kept = [(n, m) for n, m in p.entries if m > 0.0]
+    return ([n for n, _ in kept], [math.lgamma(n + 1) for n, _ in kept],
+            [math.log(m) + (n - order) * log_z for n, m in kept])
 
 
-def _log_gf_sum(atoms: list[tuple[int, float, float]], order: int, log_z: float) -> float:
-    """log of the sum over atoms N >= order of N!/(N-order)! * p(N) * z^(N-order),
-    each term in log space and added by max shift and ``fsum``; -inf if no
-    atom reaches ``order``. z = 0 comes as ``log_z = -inf``: only N = order."""
-    logs = [lf - math.lgamma(n - order + 1) + ((n - order) * log_z if n > order else 0.0) + log_m
-            for n, lf, log_m in atoms if n >= order]
-    shift = max(logs, default=-math.inf)
-    if shift == -math.inf:
-        return shift
-    return shift + math.log(math.fsum([math.exp(t - shift) for t in logs]))
+def _log_terms(atoms: tuple[list[int], list[float], list[float]], order: int,
+               shift: float) -> Iterator[float]:
+    """log N!/(N-order)! + the atom's constant + ``shift`` for each atom N >= order;
+    log N! - log (N-order)! comes first, so at order 0 it is exactly 0."""
+    ns, lfs, consts = atoms
+    k = bisect_left(ns, order)
+    lgs = map(math.lgamma, map(sub, ns[k:], repeat(order - 1)))
+    return map(add, map(add, map(sub, lfs[k:], lgs), consts[k:]), repeat(shift))
 
 
 def gf_derivative(p: Pmf, order: int, z: float) -> float:
     """Order-th derivative of the probability generating function at z.
 
-    Computes sum over N >= order of N!/(N-order)! * p(N) * z^(N-order) by
-    :func:`_log_gf_sum`; a result past the float range degrades to inf.
+    Computes sum over N >= order of N!/(N-order)! * p(N) * z^(N-order),
+    from log terms (:func:`_log_terms`) added by max shift and ``fsum``;
+    a result past the float range degrades to inf.
     """
     order, z = _as_int_in("derivative order", order, 0, 2**63 - 1), _as_unit("evaluation point", z)
-    log_sum = _log_gf_sum(_gf_atoms(p), order, math.log(z) if z > 0.0 else -math.inf)
+    if z == 0.0:  # only N = order: (N - order) log 0 would be 0 * -inf = nan
+        _check_kernel_bound(p)
+        m = p.mass(order)
+        log_sum = math.lgamma(order + 1) + math.log(m) if m > 0.0 else -math.inf
+    else:
+        logs = list(_log_terms(_gf_atoms(p, math.log(z), order), order, 0.0))
+        log_sum = max(logs, default=-math.inf)
+        if log_sum > -math.inf:
+            log_sum += math.log(math.fsum([math.exp(t - log_sum) for t in logs]))
     return math.inf if log_sum > _MAX_LOG else math.exp(log_sum)
 
 
@@ -139,10 +150,13 @@ def thin_direct(p: Pmf, eta: float | AttenuationCoefficient) -> Pmf:
         return p
     _check_kernel_bound(p)
 
-    log_keep, ratio = math.log1p(-eta), eta / (1.0 - eta)
+    # (1 - eta)^N = keep^N (1 + lost/keep)^N, with lost the exact rounding of keep.
+    keep, ratio = 1.0 - eta, eta / (1.0 - eta)
+    log_fix = math.log1p(((1.0 - keep) - eta) / keep)
     up, down = [], []
     for big_n, m in p.entries:
-        b = m * math.exp(big_n * log_keep)
+        keep_n = keep**big_n
+        b = m * keep_n * math.exp(big_n * log_fix) if keep_n >= _TINY else 0.0
         if b >= _TINY:
             up.append((0, float(big_n), b))
         elif m >= _TINY:
@@ -176,9 +190,10 @@ def thin_via_gf(p: Pmf, eta: float | AttenuationCoefficient, n_max: int) -> Pmf:
     """Same transformation through generating-function derivatives.
 
     Output mass at n is (eta^n / n!) times the n-th derivative of the
-    generating function at 1 - eta, for n = 0..n_max, the derivative kept
-    as a log-sum (:func:`_log_gf_sum`) since it overflows the float range
-    long before the product does. The defect is the inherited one plus
+    generating function at 1 - eta, for n = 0..n_max. The factor goes into
+    each log term (:func:`_log_terms`), as the derivative overflows the float
+    range long before the product does; a row is the builtin ``sum`` of the
+    terms' ``exp``, each at most 1. The defect is the inherited one plus
     what the n_max cutoff leaves of the input's total mass.
     """
     n_max = _as_int_in("n_max", n_max, 0)
@@ -188,10 +203,10 @@ def thin_via_gf(p: Pmf, eta: float | AttenuationCoefficient, n_max: int) -> Pmf:
     if eta == 1.0:
         return _truncated(p, [(n, m) for n, m in p.entries if n <= n_max])
 
-    log_eta, log_z, atoms = math.log(eta), math.log1p(-eta), _gf_atoms(p)
+    atoms, log_ratio = _gf_atoms(p, math.log1p(-eta)), math.log(eta / (1.0 - eta))
     entries: list[tuple[int, float]] = []
     for n in range(min(n_max, p.max_index) + 1):
-        q_n = math.exp(n * log_eta - math.lgamma(n + 1) + _log_gf_sum(atoms, n, log_z))
+        q_n = sum(map(math.exp, _log_terms(atoms, n, n * log_ratio - math.lgamma(n + 1))))
         if q_n > 0.0:
             entries.append((n, q_n))
     return _truncated(p, entries)

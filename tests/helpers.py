@@ -15,6 +15,14 @@ import photonthin.cli
 from photonthin import Pmf, make_pmf
 
 
+# ex3 (0.95 at 1 photon, 0.05 at 1001) thinned to mean 0.1, and its row 0.
+EX3_ETA = 0.1 / 51.0
+
+
+def ex3_q0_closed_form(eta: float) -> float:
+    return 0.95 * (1.0 - eta) + 0.05 * (1.0 - eta) ** 1001
+
+
 def random_sparse_pmf(
     rng: np.random.Generator,
     max_index: int = 2000,

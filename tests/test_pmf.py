@@ -1,6 +1,7 @@
 """Core distribution type: construction, families, moments, GF, distance."""
 
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_sparse_pmf
+from helpers import EX3_ETA, ex3_q0_closed_form, random_sparse_pmf
 from photonthin import (
     AttenuationCoefficient,
     DuplicateIndexError,
@@ -289,31 +290,77 @@ class TestGfDerivative:
             gf_derivative(make_pmf([(1, 1.0)]), order, z)
 
 
+def _worst_rel_err(q: Pmf, big_n: int, eta: float, rows) -> float:
+    """Largest relative error of the rows of ``q``, the thinned point mass
+    at ``big_n``, against 50-digit mpmath binomials."""
+    worst = 0.0
+    with mpmath.workdps(50):
+        e = mpmath.mpf(eta)
+        for n in rows:
+            ref = mpmath.binomial(big_n, n) * e**n * (1 - e) ** (big_n - n)
+            worst = max(worst, float(abs(q.mass(n) - ref) / ref))
+    return worst
+
+
+def _around_mode(big_n: int, eta: float, offsets) -> list[int]:
+    mode = int((big_n + 1) * eta)
+    return [mode + k for k in offsets]
+
+
 class TestThinDirectRows:
     """Rows of thinned point masses against 50-digit mpmath binomials."""
-
-    @staticmethod
-    def _worst_rel_err(big_n: int, eta: float, rows) -> float:
-        q = thin_direct(make_pmf([(big_n, 1.0)]), eta)
-        worst = 0.0
-        with mpmath.workdps(50):
-            e = mpmath.mpf(eta)
-            for n in rows:
-                ref = mpmath.binomial(big_n, n) * e**n * (1 - e) ** (big_n - n)
-                worst = max(worst, float(abs(q.mass(n) - ref) / ref))
-        return worst
 
     @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize("big_n", [2000, 40_000, 2**20])
     def test_row_zero_start(self, big_n, lam):
-        assert self._worst_rel_err(big_n, lam / big_n, range(6)) <= 1e-12
+        q = thin_direct(make_pmf([(big_n, 1.0)]), lam / big_n)
+        assert _worst_rel_err(q, big_n, lam / big_n, range(6)) <= 1e-12
 
     @pytest.mark.parametrize("big_n, eta", [(1000, 0.647), (2**20, 0.5)])
     def test_mode_start(self, big_n, eta):
         # Row 0 underflows here, so the rows start at the mode.
-        mode = int((big_n + 1) * eta)
-        rows = [mode - 40, mode - 3, mode, mode + 2, mode + 40]
-        assert self._worst_rel_err(big_n, eta, rows) <= 1e-12
+        q = thin_direct(make_pmf([(big_n, 1.0)]), eta)
+        assert _worst_rel_err(q, big_n, eta, _around_mode(big_n, eta, (-40, -3, 0, 2, 40))) <= 1e-12
+
+    @pytest.mark.parametrize("big_n", [300, 2000, 6000])
+    def test_every_row_of_a_long_walk(self, big_n):
+        # (1 - eta)^N is 1e-275 at N = 6000; exp(N log1p(-eta)) would carry
+        # N eps |log(1 - eta)| of rounding into every row.
+        q = thin_direct(make_pmf([(big_n, 1.0)]), 0.1)
+        assert _worst_rel_err(q, big_n, 0.1, q.support) <= 1e-14
+        assert abs(math.fsum(q.masses) + q.tail_defect - 1.0) <= 1e-15
+
+
+class TestThinViaGfRows:
+    """Rows of the generating-function route against 50-digit mpmath
+    binomials, within twice eps log(N!), the rounding of its lgamma terms."""
+
+    @staticmethod
+    def _bound(big_n: int) -> float:
+        return 2.0 * sys.float_info.epsilon * math.lgamma(big_n + 1)
+
+    @pytest.mark.parametrize("lam", [0.1, 10.0])
+    @pytest.mark.parametrize("big_n", [2000, 10_000, 2**20])
+    def test_first_rows(self, big_n, lam):
+        q = thin_via_gf(make_pmf([(big_n, 1.0)]), lam / big_n, 5)
+        assert _worst_rel_err(q, big_n, lam / big_n, range(6)) <= self._bound(big_n)
+
+    @pytest.mark.parametrize("big_n", [2000, 2**20])
+    def test_rows_around_mode(self, big_n):
+        sigma = math.isqrt(big_n) // 2  # sqrt(N eta (1 - eta)) at eta 0.5
+        rows = _around_mode(big_n, 0.5, (-3 * sigma, -sigma, 0, sigma, 3 * sigma))
+        q = thin_via_gf(make_pmf([(big_n, 1.0)]), 0.5, rows[-1])
+        assert _worst_rel_err(q, big_n, 0.5, rows) <= self._bound(big_n)
+
+    def test_row_zero_of_wide_two_point(self):
+        q = thin_via_gf(make_pmf(EX3_PAIRS), EX3_ETA, 0)
+        assert abs(q.mass(0) - ex3_q0_closed_form(EX3_ETA)) <= 1e-15
+
+    def test_derivative_at_zero(self):
+        # Only the atom at N = order counts, the vacuum atom included.
+        p = make_pmf([(0, 0.25), (3, 0.75)])
+        assert gf_derivative(p, 0, 0.0) == 0.25
+        assert gf_derivative(p, 3, 0.0) == pytest.approx(4.5, rel=1e-15)
 
 
 class TestTvDistance:

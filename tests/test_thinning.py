@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_sparse_pmf
+from helpers import EX3_ETA, ex3_q0_closed_form, random_sparse_pmf
 from photonthin import (
     InvalidParameterError,
     TargetExceedsMeanError,
@@ -19,13 +19,8 @@ from photonthin import (
 from photonthin.cli import wide_input
 
 EX3 = [(1, 0.95), (1001, 0.05)]
-EX3_ETA = 0.1 / 51.0
 # ex3 as a lossy decimal table: its masses sum to 1 - 1e-10.
 EX3_LOSSY = [(1, 0.95), (1001, 0.0499999999)]
-
-
-def ex3_q0_closed_form(eta: float) -> float:
-    return 0.95 * (1.0 - eta) + 0.05 * (1.0 - eta) ** 1001
 
 
 class TestThinDirect:
