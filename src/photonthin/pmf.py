@@ -18,6 +18,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import sub
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -122,32 +124,6 @@ def _as_eta(eta: float | AttenuationCoefficient) -> float:
 def _check_kernel_bound(p: Pmf) -> None:
     if p.max_index > _MAX_KERNEL_N:
         raise InvalidParameterError(f"outcome index {p.max_index} exceeds {_MAX_KERNEL_N}")
-
-
-class CompensatedSum:
-    """Running Neumaier-compensated sum.
-
-    Tracks the low-order bits lost by naive ``+=`` so that long
-    accumulations of same-sign terms stay accurate to the last ulp.
-    """
-
-    __slots__ = ("_sum", "_carry")
-
-    def __init__(self) -> None:
-        self._sum = 0.0
-        self._carry = 0.0
-
-    def add(self, value: float) -> None:
-        t = self._sum + value
-        if abs(self._sum) >= abs(value):
-            self._carry += (self._sum - t) + value
-        else:
-            self._carry += (value - t) + self._sum
-        self._sum = t
-
-    @property
-    def value(self) -> float:
-        return self._sum + self._carry
 
 
 @dataclass(frozen=True)
@@ -371,6 +347,8 @@ def tv_distance(p: Pmf, q: Pmf) -> float:
     Half the L1 distance over the union of supports, plus half of each
     tail defect as worst-case slack for the truncated mass.
     """
-    union = sorted(set(p.support) | set(q.support))
-    diff = math.fsum(abs(p.mass(n) - q.mass(n)) for n in union)
+    # fsum is exact, so the order of the union does not matter.
+    keys = p._lookup.keys() | q._lookup.keys()
+    masses = [map(t._lookup.get, keys, repeat(0.0)) for t in (p, q)]
+    diff = math.fsum(map(abs, map(sub, *masses)))
     return 0.5 * diff + 0.5 * (p.tail_defect + q.tail_defect)

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from functools import partial
-from itertools import accumulate, chain, repeat, takewhile
-from operator import add, le, mul, sub, truediv
+from itertools import accumulate, chain, islice, repeat, takewhile, zip_longest
+from operator import add, le, mul, truediv
 
 from .errors import TargetExceedsMeanError
 from .pmf import (
-    AttenuationCoefficient, CompensatedSum, Pmf, _as_eta, _as_int_in, _as_positive, _as_unit,
+    AttenuationCoefficient, Pmf, _as_eta, _as_int_in, _as_positive, _as_unit,
     _check_kernel_bound,
 )
 
@@ -31,13 +31,17 @@ _TRUNCATION_SLACK = 1e-15
 # Largest exponent math.exp accepts; beyond it results degrade to inf.
 _MAX_LOG = math.log(sys.float_info.max)
 
-# thin_direct forms no term below the smallest normal float, so each keeps
-# full precision; every _PRUNE_EVERY rows it drops terms below _PRUNE of
-# their row's largest (see _sweep); it sums a mode's walk to _NEGLIGIBLE.
+# thin_direct starts no term below the smallest normal float; every
+# _PRUNE_EVERY rows it drops terms below it or below _PRUNE of their row's
+# largest (see _sweep), and it emits no row below it. It sums a mode's walk
+# to _NEGLIGIBLE.
 _TINY = sys.float_info.min
 _PRUNE = 2.0**-70
 _PRUNE_EVERY = 16
 _NEGLIGIBLE = 2.0**-64
+
+# Terms per block of rows in thin_via_gf (see _gf_columns): bounds its memory.
+_GF_BLOCK_TERMS = 2**14
 
 
 def _gf_atoms(p: Pmf, log_z: float, order: int = 0) -> tuple[list[int], list[float], list[float]]:
@@ -49,22 +53,36 @@ def _gf_atoms(p: Pmf, log_z: float, order: int = 0) -> tuple[list[int], list[flo
             [math.log(m) + (n - order) * log_z for n, m in kept])
 
 
-def _log_terms(atoms: tuple[list[int], list[float], list[float]], order: int,
-               shift: float) -> Iterator[float]:
-    """log N!/(N-order)! + the atom's constant + ``shift`` for each atom N >= order;
-    log N! - log (N-order)! comes first, so at order 0 it is exactly 0."""
+def _gf_columns(atoms: tuple[list[int], list[float], list[float]], rows: range,
+                shifts: Iterator[float], f: Callable[[float], float],
+                ) -> Iterator[tuple[int, list[list[float]]]]:
+    """The GF terms of ``rows``: ``f`` of ((log N! - lgamma(N - n + 1)) + the
+    atom's constant) + the next value of ``shifts`` at row n. The lgamma
+    difference comes first, so at n = 0 it is exactly 0. They come in blocks
+    of at most max(_GF_BLOCK_TERMS, atoms) terms, each block as its first row
+    and one column per atom N >= that row, ascending in N, over the block's
+    rows up to N. Within a block the atoms' windows of lgamma arguments are
+    merged, so each distinct one costs one call."""
     ns, lfs, consts = atoms
-    k = bisect_left(ns, order)
-    lgs = map(math.lgamma, map(sub, ns[k:], repeat(order - 1)))
-    return map(add, map(add, map(sub, lfs[k:], lgs), consts[k:]), repeat(shift))
+    step = max(1, _GF_BLOCK_TERMS // max(1, len(ns)))
+    for b0 in range(rows.start, rows.stop, step):
+        b1, k = min(b0 + step, rows.stop), bisect_left(ns, b0)
+        block = list(islice(shifts, b1 - b0))
+        table, cols, top = [], [], 0  # table ends with lgamma(top)
+        for n, lf, c in zip(ns[k:], lfs[k:], consts[k:]):
+            table.extend(map(math.lgamma, range(max(n - b1 + 2, top + 1), n - b0 + 2)))
+            top = n - b0 + 1
+            lgs = table[-1:-2 - (min(n, b1 - 1) - b0):-1]  # lgamma(N - n + 1), n from b0 up
+            cols.append([f(((lf - g) + c) + s) for g, s in zip(lgs, block)])
+        yield b0, cols
 
 
 def gf_derivative(p: Pmf, order: int, z: float) -> float:
     """Order-th derivative of the probability generating function at z.
 
     Computes sum over N >= order of N!/(N-order)! * p(N) * z^(N-order),
-    from log terms (:func:`_log_terms`) added by max shift and ``fsum``;
-    a result past the float range degrades to inf.
+    from the log terms of row ``order`` (:func:`_gf_columns`) added by max
+    shift and ``fsum``; a result past the float range degrades to inf.
     """
     order, z = _as_int_in("derivative order", order, 0, 2**63 - 1), _as_unit("evaluation point", z)
     if z == 0.0:  # only N = order: (N - order) log 0 would be 0 * -inf = nan
@@ -72,7 +90,10 @@ def gf_derivative(p: Pmf, order: int, z: float) -> float:
         m = p.mass(order)
         log_sum = math.lgamma(order + 1) + math.log(m) if m > 0.0 else -math.inf
     else:
-        logs = list(_log_terms(_gf_atoms(p, math.log(z), order), order, 0.0))
+        # One block of one row, shift 0; float keeps each log term as it is.
+        atoms = _gf_atoms(p, math.log(z), order)
+        _, cols = next(_gf_columns(atoms, range(order, order + 1), repeat(0.0), float))
+        logs = list(chain.from_iterable(cols))
         log_sum = max(logs, default=-math.inf)
         if log_sum > -math.inf:
             log_sum += math.log(math.fsum([math.exp(t - log_sum) for t in logs]))
@@ -100,32 +121,33 @@ def _mode_share(big_n: int, mode: int, eta: float) -> float:
     return 1.0 / math.fsum(chain((1.0,), *(takewhile(partial(le, _NEGLIGIBLE), h) for h in halves)))
 
 
-def _sweep(starts: list[tuple[int, float, float]], ratio: float, step: int) -> Iterator[float]:
+def _sweep(starts: list[tuple[int, float, float]], ratio: float, step: float) -> Iterator[float]:
     """fsum of each row's terms, row after row from the first start's row.
     Atom N joins at the row of its (row, N, term) in ``starts``. Each row
     steps every term by (N-n)/(n+1) * ratio upward (step 1) or by
-    n/(N-n+1) * ratio downward (step -1). A term is dropped for good below
-    _TINY, or below _PRUNE times the row's largest term while its atom
-    lies behind that term's in the sweep's direction: their ratio only
-    shrinks from then on."""
-    terms, atoms, k, n = [], [], 0, starts[0][0]
-    while (k < len(starts) or terms) and n >= 0:
+    n/(N-n+1) * ratio downward (step -1); the row index is a float, so
+    that each step is float arithmetic only. A term is dropped for good
+    below _TINY, or below _PRUNE times the row's largest term while its
+    atom lies behind that term's in the sweep's direction: their ratio
+    only shrinks from then on. Both are checked every _PRUNE_EVERY rows."""
+    terms, atoms, k, n = [], [], 0, float(starts[0][0])
+    while (k < len(starts) or terms) and n >= 0.0:
         if not terms:
-            yield from repeat(0.0, abs(starts[k][0] - n))
-            n = starts[k][0]
+            yield from repeat(0.0, int(abs(starts[k][0] - n)))
+            n = float(starts[k][0])
         while k < len(starts) and starts[k][0] == n:
             atoms.append(starts[k][1])
             terms.append(starts[k][2])
             k += 1
         yield math.fsum(terms)
-        if step > 0:
-            c = ratio / (n + 1)
+        if step > 0.0:
+            c = ratio / (n + 1.0)
             terms = [t * ((a - n) * c) for t, a in zip(terms, atoms)]
         else:
             c = n * ratio
-            terms = [t * (c / (a - n + 1)) for t, a in zip(terms, atoms)]
+            terms = [t * (c / (a - n + 1.0)) for t, a in zip(terms, atoms)]
         n += step
-        if n % _PRUNE_EVERY == 1 and terms:
+        if n % _PRUNE_EVERY == 1.0 and terms:
             top = max(terms)
             cut, lead = top * _PRUNE, atoms[terms.index(top)] * step
             kept = [(t, a) for t, a in zip(terms, atoms) if t >= _TINY and (t >= cut or a * step > lead)]
@@ -141,8 +163,9 @@ def thin_direct(p: Pmf, eta: float | AttenuationCoefficient) -> Pmf:
     An atom starts at row 0 with m (1-eta)^N where that is a normal float,
     else at its mode (:func:`_mode_share`), walked down and up. Rows are
     cut once their mass reaches the input's total less 1e-15, or, within
-    4 eps log(N!) of it, at the first row that leaves the sum unchanged;
-    the cut joins the inherited tail defect. eta 0 and 1 are exact."""
+    4 eps log(N!) of it, at the first row that leaves the sum unchanged.
+    A row below the smallest normal float is not emitted. The cut joins the
+    inherited tail defect. eta 0 and 1 are exact."""
     eta = _as_eta(eta)
     if eta == 0.0:
         return Pmf(((0, p.total_mass),), tail_defect=p.tail_defect)
@@ -166,22 +189,26 @@ def thin_direct(p: Pmf, eta: float | AttenuationCoefficient) -> Pmf:
                 down.append((mode, float(big_n), b))
                 up.append((mode + 1, float(big_n), b * (big_n - mode) / (mode + 1) * ratio))
     down.sort(reverse=True)
-    lower = list(_sweep(down, (1.0 - eta) / eta, -1))[::-1] if down else []
+    lower = list(_sweep(down, (1.0 - eta) / eta, -1.0))[::-1] if down else []
     low = down[0][0] + 1 - len(lower) if down else 0
     up.append((low, 0.0, 0.0))  # a zero term, so the upward rows start at the lowest row
     up.sort()
-    rows = map(add, _sweep(up, ratio, 1), chain(repeat(0.0, low - up[0][0]), lower, repeat(0.0)))
+    rows = _sweep(up, ratio, 1.0)
+    if lower:
+        rows = map(add, rows, chain(repeat(0.0, low - up[0][0]), lower, repeat(0.0)))
     target = p.total_mass - _TRUNCATION_SLACK
     near = p.total_mass - 4.0 * sys.float_info.epsilon * math.lgamma(p.max_index + 1)
 
+    # The rows' running sum, Neumaier-compensated; every row is >= 0.
     entries: list[tuple[int, float]] = []
-    acc = CompensatedSum()
+    value = total = carry = 0.0
     for n, q_n in enumerate(rows, start=up[0][0]):
-        before = acc.value
-        acc.add(q_n)
-        if q_n > 0.0:
+        t = total + q_n
+        carry += (total - t) + q_n if total >= q_n else (q_n - t) + total
+        total, before, value = t, value, t + carry
+        if q_n >= _TINY:
             entries.append((n, q_n))
-        if acc.value >= target or (acc.value >= near and acc.value == before):
+        if value >= target or (value >= near and value == before):
             break
     return _truncated(p, entries)
 
@@ -191,10 +218,11 @@ def thin_via_gf(p: Pmf, eta: float | AttenuationCoefficient, n_max: int) -> Pmf:
 
     Output mass at n is (eta^n / n!) times the n-th derivative of the
     generating function at 1 - eta, for n = 0..n_max. The factor goes into
-    each log term (:func:`_log_terms`), as the derivative overflows the float
-    range long before the product does; a row is the builtin ``sum`` of the
-    terms' ``exp``, each at most 1. The defect is the inherited one plus
-    what the n_max cutoff leaves of the input's total mass.
+    each log term, as the derivative overflows the float range long before
+    the product does. The terms are formed by atom columns
+    (:func:`_gf_columns`), and a row is the builtin ``sum`` of its terms'
+    ``exp``, each at most 1, in ascending N. The defect is the inherited one
+    plus what the n_max cutoff leaves of the input's total mass.
     """
     n_max = _as_int_in("n_max", n_max, 0)
     eta = _as_eta(eta)
@@ -204,11 +232,14 @@ def thin_via_gf(p: Pmf, eta: float | AttenuationCoefficient, n_max: int) -> Pmf:
         return _truncated(p, [(n, m) for n, m in p.entries if n <= n_max])
 
     atoms, log_ratio = _gf_atoms(p, math.log1p(-eta)), math.log(eta / (1.0 - eta))
+    rows = range(min(n_max, p.max_index) + 1)
+    shifts = (n * log_ratio - math.lgamma(n + 1) for n in rows)
     entries: list[tuple[int, float]] = []
-    for n in range(min(n_max, p.max_index) + 1):
-        q_n = sum(map(math.exp, _log_terms(atoms, n, n * log_ratio - math.lgamma(n + 1))))
-        if q_n > 0.0:
-            entries.append((n, q_n))
+    for first, cols in _gf_columns(atoms, rows, shifts, math.exp):
+        # An atom's column ends at its own N; the 0.0 padding is exact under sum.
+        for n, q_n in enumerate(map(sum, zip_longest(*cols, fillvalue=0.0)), start=first):
+            if q_n > 0.0:
+                entries.append((n, q_n))
     return _truncated(p, entries)
 
 

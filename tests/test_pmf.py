@@ -330,6 +330,15 @@ class TestThinDirectRows:
         assert _worst_rel_err(q, big_n, 0.1, q.support) <= 1e-14
         assert abs(math.fsum(q.masses) + q.tail_defect - 1.0) <= 1e-15
 
+    def test_no_subnormal_row(self):
+        # Walking down from the mode, rows 210-214 fall below the smallest
+        # normal float (row 210 would read 1.55e-312, 6.4e-13 off); they
+        # join the cut instead of being emitted.
+        q = thin_direct(make_pmf([(2000, 1.0)]), 0.5)
+        assert min(q.masses) >= sys.float_info.min
+        assert _worst_rel_err(q, 2000, 0.5, q.support) <= 1e-14
+        assert abs(math.fsum(q.masses) + q.tail_defect - 1.0) <= 1e-15
+
 
 class TestThinViaGfRows:
     """Rows of the generating-function route against 50-digit mpmath
@@ -391,6 +400,25 @@ class TestTvDistance:
     def test_includes_tail_defects(self):
         p = poisson_family(5.0, 1e-8)
         assert tv_distance(p, p) == pytest.approx(p.tail_defect, rel=1e-12)
+
+    def test_bit_equal_to_sorted_union_fsum(self):
+        def sorted_union(p, q):
+            union = sorted(set(p.support) | set(q.support))
+            diff = math.fsum(abs(p.mass(n) - q.mass(n)) for n in union)
+            return 0.5 * diff + 0.5 * (p.tail_defect + q.tail_defect)
+
+        rng = np.random.default_rng(91)
+        pairs = [(make_pmf([(0, 1.0)]), make_pmf([(5, 0.5), (9, 0.5)]))]  # disjoint supports
+        pairs += [(poisson_family(mu, 1e-8), poisson_family(mu * 1.01, 1e-10)) for mu in (0.5, 5.0, 40.0)]
+        for _ in range(20):
+            a = random_sparse_pmf(rng, max_index=300, max_atoms=30)
+            b = random_sparse_pmf(rng, max_index=300, max_atoms=30)
+            eta = float(rng.uniform(0.05, 0.95))
+            pairs += [(a, b), (thin_direct(a, eta), thin_via_gf(a, eta, 40))]
+        assert any(p.tail_defect > 0.0 and q.tail_defect > 0.0 for p, q in pairs)
+        for p, q in pairs:
+            assert tv_distance(p, q) == sorted_union(p, q)
+            assert tv_distance(q, p) == sorted_union(q, p)
 
 
 # The bad values of the CLI's TestSpecNumbers, by name, plus the two

@@ -1,21 +1,27 @@
 """Binomial decay: direct route, GF route, and their agreement."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import EX3_ETA, ex3_q0_closed_form, random_sparse_pmf
+from helpers import (
+    EX3_ETA, ex3_q0_closed_form, gf_derivative_rowwise, gf_rows_rowwise, random_sparse_pmf,
+)
 from photonthin import (
     InvalidParameterError,
     TargetExceedsMeanError,
     eta_for_target_lambda,
+    gf_derivative,
     make_pmf,
     poisson_family,
     thin_direct,
     thin_via_gf,
     tv_distance,
 )
+from photonthin import thinning
 from photonthin.cli import wide_input
 
 EX3 = [(1, 0.95), (1001, 0.05)]
@@ -241,3 +247,82 @@ class TestEtaForTargetLambda:
             target = 0.25 * p.mean
             eta = eta_for_target_lambda(p, target)
             assert eta.eta * p.mean == pytest.approx(target, rel=1e-15)
+
+
+def _exact_rows(p, eta: float, n_max: int) -> list[Fraction]:
+    """Rows 0..n_max of ``p`` thinned at ``eta``, in exact rational arithmetic
+    from the floats as given."""
+    e = Fraction(eta)
+    return [sum((Fraction(m) * math.comb(big_n, n) * e**n * (1 - e) ** (big_n - n)
+                 for big_n, m in p.entries if big_n >= n), Fraction(0)) for n in range(n_max + 1)]
+
+
+def _log_term_scale(p, eta: float, n: int) -> float:
+    """Largest summed magnitude of the parts of row n's log terms: log N!,
+    log (N-n)!, log p(N) + N log(1-eta) and n log(eta/(1-eta)) - log n!.
+    Each is rounded once, so a row errs by about eps times this. It is at
+    least log N!; far from the mode at small eta the row's constants exceed
+    it (row 28 of atoms_0_1 at eta 0.05 errs by 210 eps, against
+    2 eps log 30! = 149 eps)."""
+    shift = abs(n * math.log(eta / (1.0 - eta)) - math.lgamma(n + 1))
+    return max(math.lgamma(big_n + 1) + math.lgamma(big_n - n + 1)
+               + abs(math.log(m) + big_n * math.log1p(-eta)) + shift
+               for big_n, m in p.entries if big_n >= n)
+
+
+# Tables whose lgamma windows, over rows 0..9, overlap (30 and 35), touch
+# (30 and 40: arguments 22..31 and 32..41) or leave a gap of one (30 and 41),
+# plus atoms at 0 and 1.
+GF_COLUMN_TABLES = {
+    "atoms_0_1": [(0, 0.25), (1, 0.25), (30, 0.5)],
+    "overlap": [(30, 0.5), (35, 0.5)],
+    "touch": [(30, 0.5), (40, 0.5)],
+    "gap_of_one": [(30, 0.5), (41, 0.5)],
+}
+
+
+class TestGfColumns:
+    """The GF route's atom columns, lgamma windows and row blocks, against an
+    exact rational oracle and, bit for bit, against rows formed one at a time."""
+
+    @pytest.mark.parametrize("eta", [0.05, 0.3, 0.9])
+    @pytest.mark.parametrize("n_max", [0, 9, 33, 100])  # 33 lies between two atoms, 100 past all
+    @pytest.mark.parametrize("table", sorted(GF_COLUMN_TABLES))
+    def test_small_tables_against_exact_rows(self, table, n_max, eta):
+        p = make_pmf(GF_COLUMN_TABLES[table])
+        q = thin_via_gf(p, eta, n_max)
+        assert list(q.entries) == gf_rows_rowwise(p, eta, n_max)
+        assert q.max_index == min(n_max, p.max_index)
+        for n, exact in enumerate(_exact_rows(p, eta, min(n_max, p.max_index))):
+            bound = 2.0 * sys.float_info.epsilon * _log_term_scale(p, eta, n)
+            assert abs(Fraction(q.mass(n)) - exact) <= bound * exact, (n, q.mass(n), float(exact))
+
+    def test_seeded_tables_bit_equal_to_rowwise(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(12):
+            p = random_sparse_pmf(rng, max_index=2000, max_atoms=40)
+            eta = eta_for_target_lambda(p, float(rng.choice([1.0, 10.0]))).eta
+            for n_max in (0, int(rng.integers(1, 80)), p.max_index):
+                assert list(thin_via_gf(p, eta, n_max).entries) == gf_rows_rowwise(p, eta, n_max)
+
+    def test_row_blocks_bit_equal_to_rowwise(self, monkeypatch):
+        # wide_input has 764 atoms: at eta 0.1 its 135 rows span seven blocks.
+        p = wide_input()
+        assert list(thin_via_gf(p, 0.1, 134).entries) == gf_rows_rowwise(p, 0.1, 134)
+        rng = np.random.default_rng(5)
+        tables = [make_pmf(pairs) for pairs in GF_COLUMN_TABLES.values()]
+        tables += [random_sparse_pmf(rng, max_index=300, max_atoms=40) for _ in range(3)]
+        expected = [gf_rows_rowwise(p, 0.3, 100) for p in tables]
+        for block_terms in (1, 2, 5, 7, 64):  # blocks of one row up to a few rows
+            monkeypatch.setattr(thinning, "_GF_BLOCK_TERMS", block_terms)
+            assert [list(thin_via_gf(p, 0.3, 100).entries) for p in tables] == expected
+
+    @pytest.mark.parametrize("z", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    def test_gf_derivative_bit_equal_to_rowwise(self, order, z):
+        rng = np.random.default_rng(7 + order)
+        tables = [make_pmf(pairs) for pairs in GF_COLUMN_TABLES.values()]
+        tables += [make_pmf([(0, 0.25), (3, 0.75)])]
+        tables += [random_sparse_pmf(rng, max_index=2000, max_atoms=40) for _ in range(10)]
+        for p in tables:
+            assert gf_derivative(p, order, z) == gf_derivative_rowwise(p, order, z)
