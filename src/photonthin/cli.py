@@ -187,14 +187,19 @@ def _cmd_mc(args: argparse.Namespace) -> None:
     """Simulate pulses through the attenuator and print diagnostics.
 
     The input's tail defect must be at most 1e-09: a poisson spec needs
-    a tail_eps of 1e-09 or less.
+    a tail_eps of 1e-09 or less. Needs numpy, which the mc extra
+    installs: pip install 'photonthin[mc]'.
     """
     # The oracle does no BLAS work, so the OpenBLAS thread pool that
-    # importing numpy starts (on the first photonthin.McConfig lookup
-    # below) would only cost start-up time. A value the user set wins.
+    # importing numpy starts (on the photonthin.McConfig lookup below)
+    # would only cost start-up time. A value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        mc_config = photonthin.McConfig
+    except ModuleNotFoundError:
+        raise PhotonThinError("mc needs numpy: pip install 'photonthin[mc]'") from None
     pmf, eta = _pmf_and_eta(args)
-    config = photonthin.McConfig(seed=args.seed, trials=args.trials)
+    config = mc_config(seed=args.seed, trials=args.trials)
     result = photonthin.simulate_thinned(pmf, eta, config)
     print(json.dumps({
         "trials": result.trials, "seed": result.seed, "tv_to_analytic": result.tv_to_analytic,

@@ -163,7 +163,7 @@ def simulate_thinned(
         )
     _check_kernel_bound(p)
 
-    sup, mas = p.arrays()
+    sup, mas = _pmf_arrays(p)
     # Increments of the CDF clamped at 1: a lossy table summing to up to
     # 1 + 1e-9 keeps the law of sampling by inverse CDF, where numpy's
     # multinomial would reject its raw masses. The multinomial gives the
@@ -189,6 +189,12 @@ def simulate_thinned(
         tv_to_analytic=tv_distance(empirical, analytic),
         max_count_observed=entries[-1][0],
     )
+
+
+def _pmf_arrays(p: Pmf) -> tuple[np.ndarray, np.ndarray]:
+    """Support and masses of ``p`` as int64 and float64 arrays; int64 holds
+    every index, since a Pmf rejects indices from 2**63 on."""
+    return np.asarray(p.support, dtype=np.int64), np.asarray(p.masses, dtype=np.float64)
 
 
 def _simulate_chunk(

@@ -8,8 +8,7 @@ it explicitly.
 
 All sums that feed invariants (normalization, moments) are accumulated
 with full-precision summation (``math.fsum``) in ascending index order.
-The module is pure Python: numpy is imported only by :meth:`Pmf.arrays`,
-for the Monte Carlo oracle in :mod:`photonthin.montecarlo`.
+The module is pure Python.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import sub
-from typing import TYPE_CHECKING
 
 from .errors import (
     DuplicateIndexError,
@@ -29,9 +27,6 @@ from .errors import (
     NotNormalizedError,
     ZeroMeanError,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Ingestion tolerance: user data is lossy decimal. Internal ops target 1e-12.
 NORMALIZATION_TOL = 1e-9
@@ -56,7 +51,7 @@ def _as_int(name: str, value: object) -> int:
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    # Numpy integers become int, so that masses stay Python floats.
+    # Other Integral types become int, so that masses stay Python floats.
     return int(value)
 
 
@@ -174,8 +169,8 @@ class Pmf:
         if prev >= 2**63:
             raise InvalidParameterError(f"outcome index {prev} does not fit in int64")
         if converted:
-            # Stored as checked, so that no kernel does numpy integer
-            # arithmetic, which wraps silently.
+            # Stored as checked, so that no kernel does fixed-width
+            # integer arithmetic, which wraps silently.
             object.__setattr__(self, "entries", tuple(
                 (_as_int("outcome index", n), _as_real("mass", m)) for n, m in self.entries))
         tail_defect = _as_real("tail defect", self.tail_defect)
@@ -216,20 +211,6 @@ class Pmf:
     def mean(self) -> float:
         return math.fsum(n * m for n, m in self.entries)
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Support and mass vectors as read-only numpy arrays."""
-        return self._arrays
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        import numpy as np
-
-        sup = np.asarray(self.support, dtype=np.int64)
-        mas = np.asarray(self.masses, dtype=np.float64)
-        sup.setflags(write=False)
-        mas.setflags(write=False)
-        return sup, mas
-
 
 @dataclass(frozen=True)
 class MomentSummary:
@@ -251,10 +232,10 @@ def make_pmf(pairs: list[tuple[int, float]] | tuple[tuple[int, float], ...]) -> 
     """Validate and normalize a table of (index, mass) pairs into a Pmf.
 
     Input order is irrelevant; entries are sorted by index. An index is an
-    int, a numpy int or an integral float up to 2**53, never a bool; a mass
-    is any real number but a bool. Raises :class:`InvalidParameterError`,
-    :class:`NegativeMassError`, :class:`DuplicateIndexError` or
-    :class:`NotNormalizedError` on bad data.
+    int, any other ``numbers.Integral`` or an integral float up to 2**53,
+    never a bool; a mass is any real number but a bool. Raises
+    :class:`InvalidParameterError`, :class:`NegativeMassError`,
+    :class:`DuplicateIndexError` or :class:`NotNormalizedError` on bad data.
     """
     cleaned: list[tuple[int, float]] = []
     for n, mass in pairs:

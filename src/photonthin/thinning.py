@@ -232,7 +232,11 @@ def thin_via_gf(p: Pmf, eta: float | AttenuationCoefficient, n_max: int) -> Pmf:
         return _truncated(p, [(n, m) for n, m in p.entries if n <= n_max])
 
     atoms, log_ratio = _gf_atoms(p, math.log1p(-eta)), math.log(eta / (1.0 - eta))
-    rows = range(min(n_max, p.max_index) + 1)
+    # Rows below every atom's mean by sqrt(1492 N eta) or more are skipped:
+    # by the Chernoff bound P(X <= mu - t) <= exp(-t^2 / (2 mu)) each of
+    # their terms is below e^-746, where exp returns 0, so none is emitted.
+    low = min((n * eta - math.sqrt(1492.0 * n * eta) for n in atoms[0]), default=0.0)
+    rows = range(max(0, math.floor(low)), min(n_max, p.max_index) + 1)
     shifts = (n * log_ratio - math.lgamma(n + 1) for n in rows)
     entries: list[tuple[int, float]] = []
     for first, cols in _gf_columns(atoms, rows, shifts, math.exp):

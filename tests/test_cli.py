@@ -540,14 +540,19 @@ class TestCsvRoundTrip:
                 assert repr(value) == token  # shortest round-trip form
 
 
-def _run_fresh(code, *args):
-    """stdout of ``python -c code args`` in a fresh interpreter with the source tree on the path."""
+def _fresh_process(code, *args):
+    """``python -c code args`` run in a fresh interpreter with the source tree on the path."""
     src = str(Path(photonthin.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
-    )
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True)
+
+
+def _run_fresh(code, *args):
+    """stdout of :func:`_fresh_process`, which must exit 0."""
+    run = _fresh_process(code, *args)
+    run.check_returncode()
     return run.stdout.strip()
 
 
@@ -660,6 +665,61 @@ class TestImports:
             "10",
             "True",
         ]
+
+
+# Runs the CLI as an install without the mc extra would: importing numpy fails.
+_BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+_MAIN = "from photonthin.cli import main\nmain()"
+
+
+class TestWithoutNumpy:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["moments", "SPEC"],
+            ["report", "SPEC", "--target-lambda", "0.1"],
+            ["thin", "SPEC", "--target-lambda", "0.1", "--out", "OUT/thin.csv"],
+            ["table1", "--out", "OUT/table1.csv"],
+            ["figures", "--out-dir", "OUT"],
+        ],
+        ids=["moments", "report", "thin", "table1", "figures"],
+    )
+    def test_exact_commands_match_the_run_with_numpy(self, tmp_path, args):
+        spec = write_spec(tmp_path, EX3_SPEC)
+        outputs = []
+        for side, prelude in (("with", ""), ("without", _BLOCK_NUMPY)):
+            out = tmp_path / side
+            out.mkdir()
+            line = [a.replace("SPEC", spec).replace("OUT", str(out)) for a in args]
+            run = _fresh_process(prelude + _MAIN, *line)
+            assert run.returncode == 0, run.stderr
+            outputs.append((run.stdout, {f.name: f.read_bytes() for f in out.iterdir()}))
+        assert outputs[0] == outputs[1]
+        assert any(outputs[0])  # stdout, files or both
+
+    def test_mc_exits_2_naming_the_extra(self, tmp_path):
+        spec = write_spec(tmp_path, EX3_SPEC)
+        run = _fresh_process(_BLOCK_NUMPY + _MAIN, "mc", spec, "--target-lambda", "0.1")
+        assert run.returncode == 2
+        assert run.stdout == ""
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), run.stderr
+        assert "photonthin[mc]" in lines[0]
+
+    def test_library_raises_numpy_own_error(self):
+        # The exact kernels run; the oracle's names raise numpy's
+        # ModuleNotFoundError on lookup, and so does a star import, since
+        # __all__ lists them.
+        out = _run_fresh(
+            _BLOCK_NUMPY + "import photonthin\n"
+            "print(photonthin.thin_direct(photonthin.make_pmf([(3, 1.0)]), 0.5).mean)\n"
+            "for statement in ('photonthin.McConfig', 'from photonthin import *'):\n"
+            "    try:\n"
+            "        exec(statement, {'photonthin': photonthin})\n"
+            "    except ModuleNotFoundError as exc:\n"
+            "        print(exc.name)\n"
+        )
+        assert out.splitlines() == ["1.5", "numpy", "numpy"]
 
 
 class TestPackageNames:

@@ -25,6 +25,7 @@ from photonthin.montecarlo import (
     _CHUNK_PULSES,
     _bernoulli_slots,
     _dense_survivors,
+    _pmf_arrays,
     _simulate_chunk,
     _sparse_survivors,
 )
@@ -260,7 +261,7 @@ class TestSimulateThinned:
         eta = lam / p.mean
         cfg = McConfig(seed=619, trials=2 * 250_000 + 3)
         res = simulate_thinned(p, eta, cfg)
-        sup, mas = p.arrays()
+        sup, mas = _pmf_arrays(p)
         pvals = np.diff(np.minimum(np.cumsum(mas), 1.0), prepend=0.0)
         counts = _summed(
             [_simulate_chunk(sup, pvals, eta, n, cfg.seed, i)
@@ -278,7 +279,7 @@ class TestSimulateThinned:
         eta = 0.1 / p.mean
         cfg = McConfig(seed=609, trials=100_001)
         res = simulate_thinned(p, eta, cfg)
-        sup, mas = p.arrays()
+        sup, mas = _pmf_arrays(p)
         pvals = np.diff(np.minimum(np.cumsum(mas), 1.0), prepend=0.0)
         counts = _summed(
             [_simulate_chunk(sup, pvals, eta, n, cfg.seed, i)
@@ -299,7 +300,7 @@ class TestSimulateThinned:
         eta = 1.0 / p.mean
         cfg = McConfig(seed=617, trials=250_001)
         res = simulate_thinned(p, eta, cfg)
-        sup, pvals = p.arrays()
+        sup, pvals = _pmf_arrays(p)
         counts = np.zeros(top + 1, dtype=np.int64)
         for i, n in enumerate([125_000, 125_000, 1]):
             rng, groups = _chunk_start(pvals, n, cfg.seed, i)
@@ -347,7 +348,7 @@ class TestChunkStream:
         # consume each substream exactly as one array-n call in ascending
         # N does. The helper is called directly, since chunks at small eta
         # take the sparse path.
-        sup, pvals = p.arrays()
+        sup, pvals = _pmf_arrays(p)
         seed = 99
         for index, n_trials in enumerate([250_000, 250_000, 37_123]):
             rng, groups = _chunk_start(pvals, n_trials, seed, index)
@@ -362,7 +363,7 @@ class TestChunkStream:
     def test_quarter_rule_edge(self, p):
         # Just above the rule a chunk takes the dense path and draws as
         # one array-n call; at the rule it takes the sparse one.
-        sup, pvals = p.arrays()
+        sup, pvals = _pmf_arrays(p)
         n_trials, seed, index = 250_000, 17, 3
         photons = int(_chunk_start(pvals, n_trials, seed, index)[1] @ sup)
         limit = 0.25 * n_trials
@@ -415,7 +416,7 @@ class TestSparsePath:
         eta = 0.1 / p.mean
         cfg = McConfig(seed=604, trials=123_457)
         res = simulate_thinned(p, eta, cfg)
-        sup, pvals = p.arrays()
+        sup, pvals = _pmf_arrays(p)
         chunks = [
             _simulate_chunk(sup, pvals, eta, n, cfg.seed, i)
             for i, n in enumerate([50_000, 50_000, 23_457])
@@ -436,7 +437,7 @@ class TestSparsePath:
         ids=["ex3", "mixed_with_tiny_atoms", "uniform3000", "one_or_two"],
     )
     def test_chunk_sums_to_its_trials(self, entries, eta):
-        sup, pvals = make_pmf(entries).arrays()
+        sup, pvals = _pmf_arrays(make_pmf(entries))
         for index, n_trials in enumerate([250_000, 1, 7_919]):
             hist = _simulate_chunk(sup, pvals, eta, n_trials, 605, index)
             assert hist.size <= int(sup[-1]) + 1
@@ -445,11 +446,11 @@ class TestSparsePath:
             assert int(hist.sum()) == n_trials
 
     def test_no_photons_or_no_survival_count_zero(self):
-        sup, pvals = make_pmf([(0, 1.0)]).arrays()
+        sup, pvals = _pmf_arrays(make_pmf([(0, 1.0)]))
         np.testing.assert_array_equal(
             _simulate_chunk(sup, pvals, 0.2, 1_000, 606, 0), [1_000]
         )
-        sup, pvals = make_pmf(EX3).arrays()
+        sup, pvals = _pmf_arrays(make_pmf(EX3))
         hist = _simulate_chunk(sup, pvals, 0.0, 1_000, 606, 0)
         assert hist[0] == 1_000
         assert not hist[1:].any()
@@ -458,7 +459,7 @@ class TestSparsePath:
         # At eta = 1 every slot survives, so each pulse keeps its N, as
         # the one-array-call reference does; mostly empty pulses keep the
         # chunk under the quarter rule.
-        sup, pvals = make_pmf([(0, 0.92), (2, 0.06), (3, 1e-6), (5, 0.02 - 1e-6)]).arrays()
+        sup, pvals = _pmf_arrays(make_pmf([(0, 0.92), (2, 0.06), (3, 1e-6), (5, 0.02 - 1e-6)]))
         for index, n_trials in enumerate([250_000, 37_123]):
             got = _simulate_chunk(sup, pvals, 1.0, n_trials, 608, index)
             want = _reference_chunk(sup, pvals, 1.0, n_trials, 608, index)
@@ -723,7 +724,7 @@ class TestFloatPositions:
     )
     def test_histograms_equal_integer_reference(self, p, lam):
         # lam = 0.2 on {0: .6, 1: .4} is eta = 0.5.
-        sup, pvals = p.arrays()
+        sup, pvals = _pmf_arrays(p)
         eta = lam / p.mean
         for seed in range(40):
             n_trials = (250_000, 250_000, 37_123, 1)[seed % 4]

@@ -317,6 +317,22 @@ class TestGfColumns:
             monkeypatch.setattr(thinning, "_GF_BLOCK_TERMS", block_terms)
             assert [list(thin_via_gf(p, 0.3, 100).entries) for p in tables] == expected
 
+    def test_rows_below_the_chernoff_start_are_not_formed(self, monkeypatch):
+        # A point mass at 40 000 at eta 0.5: every term of a row below
+        # 20 000 - sqrt(1492 * 20 000), about 14 537, is below e^-746, so
+        # the route starts there, and emits what rows formed from 0 emit.
+        p = make_pmf([(40_000, 1.0)])
+        starts, columns = [], thinning._gf_columns
+
+        def spy(atoms, rows, *rest):
+            starts.append(rows.start)
+            return columns(atoms, rows, *rest)
+
+        monkeypatch.setattr(thinning, "_gf_columns", spy)
+        q = thin_via_gf(p, 0.5, 21_000)
+        assert starts == [math.floor(20_000 - math.sqrt(1492 * 20_000))]
+        assert list(q.entries) == gf_rows_rowwise(p, 0.5, 21_000)
+
     @pytest.mark.parametrize("z", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("order", [0, 1, 3])
     def test_gf_derivative_bit_equal_to_rowwise(self, order, z):
