@@ -22,12 +22,8 @@ survivors on one of two paths:
   while (pulses + 1) * max N <= 2**53, which a chunk of at most
   ``_CHUNK_PULSES`` pulses meets for every N up to the kernel bound
   2**20; float sums never wrap.
-- Dense, otherwise: binomial draws for the survivors of every pulse in
-  ascending N, one scalar-n call for each atom carrying at least
-  ``_OWN_CALL_PULSES`` pulses and one array-n call for each run of
-  smaller groups between them. numpy's binomial sampler draws pulse by
-  pulse, so this consumes the stream exactly as a single array-n call
-  over all pulses would.
+- Dense, otherwise: one array-n binomial draw for the survivors of
+  every pulse, the pulses in ascending N.
 
 Both paths are exact for every N and every eta in [0, 1], including
 N = 0, T = 0 and eta in {0, 1}, and neither reads a pmf, so the oracle
@@ -64,15 +60,6 @@ _MAX_INPUT_DEFECT = 1e-9
 # float64, exact while (pulses + 1) * max N <= 2**53; at this size that
 # holds for every N up to _MAX_KERNEL_N, and a test checks that it does.
 _CHUNK_PULSES = 250_000
-
-# Group size from which an atom's pulses get a binomial call of their own.
-# On PCG64 a scalar-n call costs about 1.6 us plus 15 ns a pulse, an
-# array-n call about 12 us plus 25 ns a pulse (N = 1..1001, eta 0.002 to
-# 0.03). Taking a group out of a run of small ones costs at worst one more
-# call of each kind, about 14 us, and saves about 10 ns a pulse, so
-# break-even at worst lies near 1300 pulses; 1024 is close enough, and
-# the threshold leaves the stream unchanged either way.
-_OWN_CALL_PULSES = 1024
 
 # Largest expected survivor count, as a share of the chunk's pulses, at
 # which a chunk draws its surviving photon slots from geometric gaps
@@ -111,7 +98,6 @@ class McResult:
     trials: int
     seed: int
     tv_to_analytic: float
-    max_count_observed: int
 
 
 def simulate_thinned(
@@ -123,25 +109,11 @@ def simulate_thinned(
 ) -> McResult:
     """Monte Carlo estimate of the thinned distribution.
 
-    Per chunk of trials: draw how many pulses carry each photon count N
-    with one multinomial draw over the sparse input table (any residual
-    tail mass of a truncated family input goes to the largest support
-    point), then draw the survivors. When the chunk's expected survivor
-    count, eta times its photon count T, is at most a quarter of its
-    pulses, draw the surviving photon slots in ascending order from
-    i.i.d. Geometric(eta) gaps between them, each the ceiling of a
-    standard exponential over -log(1 - eta), then count each pulse's
-    survivors; otherwise draw every pulse's survivor count as a
-    Binomial(N, eta) sample, pulse by pulse in ascending N, one scalar-n
-    call per atom with at least 1024 pulses in the chunk and one array-n
-    call per run of smaller groups. Both give the exact law of
-    independent photon survival; see the module docstring. The chunks
-    hold 250 000 pulses each, the last one the rest, and run one after
-    another in the calling thread; each chunk's histogram ends at the
-    largest survivor count it drew and is added into a running total.
-    Deterministic in (cfg.seed, cfg.trials): every chunk draws from its
-    own PCG64 substream keyed by (cfg.seed, chunk index), and the path it
-    takes depends only on that substream.
+    Simulates cfg.trials pulses chunk by chunk, each from its own seeded
+    substream, as the module docstring describes, and compares the
+    empirical distribution with ``thin_direct``. Any residual tail mass
+    of a truncated family input goes to the largest support point.
+    Deterministic in (cfg.seed, cfg.trials).
 
     Args:
         p: input distribution, tail defect at most 1e-9.
@@ -175,7 +147,9 @@ def simulate_thinned(
     for index, start in enumerate(range(0, cfg.trials, _CHUNK_PULSES)):
         n_trials = min(_CHUNK_PULSES, cfg.trials - start)
         chunk = _simulate_chunk(sup, pvals, eta, n_trials, cfg.seed, index)
-        counts = _merge([counts, chunk])
+        if chunk.size > counts.size:
+            counts, chunk = chunk, counts
+        counts[: chunk.size] += chunk
     observed = np.flatnonzero(counts)
     entries = tuple(
         (n, k / cfg.trials) for n, k in zip(observed.tolist(), counts[observed].tolist())
@@ -187,7 +161,6 @@ def simulate_thinned(
         trials=cfg.trials,
         seed=cfg.seed,
         tv_to_analytic=tv_distance(empirical, analytic),
-        max_count_observed=entries[-1][0],
     )
 
 
@@ -228,32 +201,8 @@ def _dense_survivors(
     groups: np.ndarray,
     eta: float,
 ) -> np.ndarray:
-    """Histogram of per-pulse Binomial(N, eta) draws, pulse by pulse."""
-    histograms = []
-    # Pulses are drawn one by one in ascending N, each run of small groups
-    # in one array-n call and each large group in one scalar-n call, so
-    # the stream is consumed exactly as by one array-n call over
-    # np.repeat(sup, groups), and the histogram does not depend on the
-    # split. An empty run is skipped: an array-n call costs about 12 us
-    # even then.
-    start = 0
-    for i in np.flatnonzero(groups >= _OWN_CALL_PULSES).tolist() + [sup.size]:
-        run = np.repeat(sup[start:i], groups[start:i])
-        if run.size:
-            histograms.append(np.bincount(rng.binomial(run, eta)))
-        if i < sup.size:
-            histograms.append(np.bincount(rng.binomial(sup[i], eta, size=groups[i])))
-        start = i + 1
-    return _merge(histograms)
-
-
-def _merge(histograms: list[np.ndarray]) -> np.ndarray:
-    """Sum of count histograms of any lengths, added into the longest."""
-    total = max(histograms, key=len)
-    for h in histograms:
-        if h is not total:
-            total[: h.size] += h
-    return total
+    """Histogram of per-pulse Binomial(N, eta) draws, pulse by pulse in ascending N."""
+    return np.bincount(rng.binomial(np.repeat(sup, groups), eta))
 
 
 def _sparse_survivors(

@@ -28,6 +28,14 @@ from .pmf import (
 # the normalization invariant.
 _TRUNCATION_SLACK = 1e-15
 
+# thin_direct also stops at the first row that leaves its running sum
+# unchanged, once the sum is within this of the input's total: the rows'
+# rounding can leave the sum short of _TRUNCATION_SLACK for good. About
+# twice the largest shortfall measured, 1.43e-14 at N 300, eta 0.9. The
+# rule can fire in the zero rows before a far atom lighter than the
+# window and cut that atom whole, so the window is kept this narrow.
+_STALL_WINDOW = 2.0**-45
+
 # Largest exponent math.exp accepts; beyond it results degrade to inf.
 _MAX_LOG = math.log(sys.float_info.max)
 
@@ -163,7 +171,7 @@ def thin_direct(p: Pmf, eta: float | AttenuationCoefficient) -> Pmf:
     An atom starts at row 0 with m (1-eta)^N where that is a normal float,
     else at its mode (:func:`_mode_share`), walked down and up. Rows are
     cut once their mass reaches the input's total less 1e-15, or, within
-    4 eps log(N!) of it, at the first row that leaves the sum unchanged.
+    2**-45 of it, at the first row that leaves the sum unchanged.
     A row below the smallest normal float is not emitted. The cut joins the
     inherited tail defect. eta 0 and 1 are exact."""
     eta = _as_eta(eta)
@@ -197,7 +205,7 @@ def thin_direct(p: Pmf, eta: float | AttenuationCoefficient) -> Pmf:
     if lower:
         rows = map(add, rows, chain(repeat(0.0, low - up[0][0]), lower, repeat(0.0)))
     target = p.total_mass - _TRUNCATION_SLACK
-    near = p.total_mass - 4.0 * sys.float_info.epsilon * math.lgamma(p.max_index + 1)
+    near = p.total_mass - _STALL_WINDOW
 
     # The rows' running sum, Neumaier-compensated; every row is >= 0.
     entries: list[tuple[int, float]] = []

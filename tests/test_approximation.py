@@ -269,6 +269,21 @@ class TestRiskExact:
         got = risk_exact(thin_direct(make_pmf(entries), eta))
         assert abs(got - want) <= 1e-13 * want
 
+    @pytest.mark.parametrize(
+        ("entries", "lam"),
+        [([(1, 1 - 3e-12), (2000, 3e-12)], 1e-2), ([(1, 1 - 1e-9), (2**20, 1e-9)], 1e-4)],
+        ids=["one_and_2000", "one_and_2**20"],
+    )
+    def test_light_far_atom_risk_against_mpmath(self, entries, lam):
+        # The far atom carries nearly all of P(n >= 2); thin_direct used to
+        # cut it whole and read 1e-16 and 2e-47. Truncation may still leave
+        # 1e-15 of mass, which shifts the risk by up to 1e-15 / P(n >= 1),
+        # and P(n >= 1) <= lambda (ROADMAP item 1).
+        p = make_pmf(entries)
+        eta = lam / p.mean
+        want = exact_faint(entries, eta)[0]
+        assert abs(risk_exact(thin_direct(p, eta)) - want) <= 1e-15 / lam
+
 
 class TestRiskApprox:
     def test_poisson_case(self):

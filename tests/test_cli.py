@@ -415,13 +415,18 @@ class TestErrorBoundary:
     @pytest.mark.parametrize("command", sorted(SPEC_COMMANDS))
     @pytest.mark.parametrize(
         "payload",
-        [{"poisson": 5}, {"table": [1]}, {"two_point": []}, None],
-        ids=["poisson_number", "table_of_numbers", "two_point_list", "missing_file"],
+        [{"poisson": 5}, {"table": [1]}, {"two_point": []}, None, [1], {},
+         {"table": [[0, 1.0]], "poisson": {"mu": 1.0}}, {"table": {"0": 1.0}}, "{not json"],
+        ids=["poisson_number", "table_of_numbers", "two_point_list", "missing_file",
+             "not_an_object", "no_variant", "two_variants", "table_not_a_list", "not_json"],
     )
     def test_malformed_spec(self, tmp_path, command, payload):
-        spec = str(tmp_path / "absent.json") if payload is None else write_spec(tmp_path, payload)
+        # A str payload is the file's text; None leaves no file.
+        spec = tmp_path / "spec.json"
+        if payload is not None:
+            spec.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         assert_one_error_line(
-            run_cli(command_line(tmp_path, command, spec, SPEC_COMMANDS[command]))
+            run_cli(command_line(tmp_path, command, str(spec), SPEC_COMMANDS[command]))
         )
         assert not (tmp_path / "thin.csv").exists()
 

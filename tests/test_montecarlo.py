@@ -24,7 +24,6 @@ from photonthin.cli import wide_input
 from photonthin.montecarlo import (
     _CHUNK_PULSES,
     _bernoulli_slots,
-    _dense_survivors,
     _pmf_arrays,
     _simulate_chunk,
     _sparse_survivors,
@@ -120,7 +119,7 @@ class TestSimulateThinned:
         )
         assert res.empirical.entries == ((0, 1.0),)
         assert res.tv_to_analytic == 0.0
-        assert res.max_count_observed == 0
+        assert res.empirical.max_index == 0
 
     def test_identity_eta(self):
         p = make_pmf([(2, 0.5), (7, 0.5)])
@@ -190,7 +189,7 @@ class TestSimulateThinned:
         # Small inputs sampled heavily: result must stay a valid table.
         p = poisson_family(2.0, 1e-12)
         res = simulate_thinned(p, 0.5, McConfig(seed=11, trials=50_000))
-        assert res.max_count_observed <= p.max_index
+        assert res.empirical.max_index <= p.max_index
         assert abs(math.fsum(res.empirical.masses) - 1.0) <= 1e-9
 
     @pytest.mark.parametrize(
@@ -214,7 +213,7 @@ class TestSimulateThinned:
         threaded = simulate_thinned(p, eta, cfg, workers=2)
         assert serial.empirical == threaded.empirical
         assert abs(math.fsum(serial.empirical.masses) - 1.0) <= 1e-9
-        assert serial.max_count_observed <= top
+        assert serial.empirical.max_index <= top
         sd = math.sqrt(moments(thin_direct(p, eta)).variance / cfg.trials)
         assert abs(serial.empirical.mean - eta * p.mean) <= 5.0 * sd
 
@@ -269,7 +268,7 @@ class TestSimulateThinned:
         )
         want = tuple((n, int(k) / cfg.trials) for n, k in enumerate(counts) if k)
         assert res.empirical.entries == want
-        assert res.max_count_observed == want[-1][0]
+        assert res.empirical.max_index == want[-1][0]
 
     def test_empirical_entries_equal_walk_over_every_count(self, monkeypatch):
         # A table reaching 10**6 photons: the entries are read off the
@@ -332,30 +331,6 @@ def _reference_chunk(sup, pvals, eta, n_trials, seed, chunk_index):
 
 
 class TestChunkStream:
-    @pytest.mark.parametrize("eta", [0.0, 1e-4, 0.3, 1.0])
-    @pytest.mark.parametrize(
-        "p",
-        [
-            make_pmf(EX3),
-            poisson_family(50.0, 1e-12),
-            make_pmf(UNIFORM_3000),
-            make_pmf(MIXED_WITH_TINY_ATOMS),
-        ],
-        ids=["ex3", "poisson50", "uniform3000", "mixed_with_tiny_atoms"],
-    )
-    def test_histograms_equal_one_array_call(self, p, eta):
-        # Splitting the dense survivor draw into per-atom calls must
-        # consume each substream exactly as one array-n call in ascending
-        # N does. The helper is called directly, since chunks at small eta
-        # take the sparse path.
-        sup, pvals = _pmf_arrays(p)
-        seed = 99
-        for index, n_trials in enumerate([250_000, 250_000, 37_123]):
-            rng, groups = _chunk_start(pvals, n_trials, seed, index)
-            got = _dense_survivors(rng, sup, groups, eta)
-            want = _reference_chunk(sup, pvals, eta, n_trials, seed, index)
-            np.testing.assert_array_equal(got, want)
-
     @pytest.mark.parametrize(
         "p", [make_pmf(EX3), poisson_family(50.0, 1e-12), make_pmf(MIXED_WITH_TINY_ATOMS)],
         ids=["ex3", "poisson50", "mixed_with_tiny_atoms"],

@@ -524,16 +524,20 @@ class TestInputContract:
             with pytest.raises(InvalidParameterError):
                 Pmf(((n, 1.0),))
 
+    # The last cases break Pmf's own rules: entries in ascending index
+    # order, and a finite tail defect >= 0.
     @pytest.mark.parametrize(
-        "mass, tail_defect",
-        [(m, 0.0) for m in (True, np.True_, "1.0", None, Decimal("1"), 10**400)]
-        + [(1.0, True), (1.0, "0.0")],
+        "entries, tail_defect",
+        [(((3, m),), 0.0) for m in (True, np.True_, "1.0", None, Decimal("1"), 10**400)]
+        + [(((3, 1.0),), d) for d in (True, "0.0", -1e-12, math.nan, math.inf)]
+        + [(((3, 0.5), (1, 0.5)), 0.0)],
         ids=["mass_true", "mass_np_true", "mass_str", "mass_none", "mass_decimal",
-             "mass_10**400", "tail_defect_true", "tail_defect_str"],
+             "mass_10**400", "tail_defect_true", "tail_defect_str", "tail_defect_negative",
+             "tail_defect_nan", "tail_defect_inf", "descending_entries"],
     )
-    def test_pmf_mass_and_tail_defect_follow_the_number_rule(self, mass, tail_defect):
+    def test_pmf_mass_and_tail_defect_follow_the_number_rule(self, entries, tail_defect):
         with pytest.raises(InvalidParameterError):
-            Pmf(((3, mass),), tail_defect=tail_defect)
+            Pmf(entries, tail_defect=tail_defect)
 
     def test_pmf_takes_numpy_and_int_masses(self):
         p = Pmf(((np.int64(1), np.float64(0.5)), (np.int64(3), 0.5)))
