@@ -39,7 +39,7 @@ _LAZY = {
         "thinned_reference",
     ),
     "montecarlo": ("McConfig", "McResult", "simulate_thinned"),
-    "thinning": ("eta_for_target_lambda", "gf_derivative", "thin_direct", "thin_via_gf"),
+    "thinning": ("eta_for_target_lambda", "thin_direct", "thin_via_gf"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -52,7 +52,6 @@ __all__ = [
     "Pmf",
     "build_report",
     "eta_for_target_lambda",
-    "gf_derivative",
     "make_pmf",
     "moments",
     "poisson_family",

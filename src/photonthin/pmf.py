@@ -140,7 +140,8 @@ class Pmf:
     infinite-support family (0 for explicit tables). The masses plus the
     defect must sum to one within ``NORMALIZATION_TOL``. Indices follow
     the rule of ``_as_int``, masses and the defect that of ``_as_real``,
-    and are stored as the int and float those return.
+    and are stored as the int and float those return, the entries as a
+    tuple of tuples.
 
     Instances are immutable and safe to share across threads.
     """
@@ -150,9 +151,10 @@ class Pmf:
 
     def __post_init__(self) -> None:
         prev = -1
-        converted = False
-        for n, mass in self.entries:
-            if type(n) is not int or type(mass) is not float:
+        entries, converted = tuple(self.entries), type(self.entries) is not tuple
+        for entry in entries:
+            n, mass = entry
+            if type(n) is not int or type(mass) is not float or type(entry) is not tuple:
                 n, mass = _as_int("outcome index", n), _as_real("mass", mass)
                 converted = True
             if n < 0:
@@ -169,13 +171,15 @@ class Pmf:
         if prev >= 2**63:
             raise InvalidParameterError(f"outcome index {prev} does not fit in int64")
         if converted:
-            # Stored as checked, so that no kernel does fixed-width
-            # integer arithmetic, which wraps silently.
+            # Stored as checked, as a tuple of tuples, so that no kernel does
+            # fixed-width integer arithmetic, which wraps silently, and the
+            # instance stays hashable and unchanged.
             object.__setattr__(self, "entries", tuple(
-                (_as_int("outcome index", n), _as_real("mass", m)) for n, m in self.entries))
+                (_as_int("outcome index", n), _as_real("mass", m)) for n, m in entries))
         tail_defect = _as_real("tail defect", self.tail_defect)
         if tail_defect < 0.0 or not math.isfinite(tail_defect):
             raise InvalidParameterError(f"tail defect {tail_defect!r} must be >= 0")
+        object.__setattr__(self, "tail_defect", tail_defect)
         total = math.fsum(m for _, m in self.entries) + tail_defect
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise NotNormalizedError(

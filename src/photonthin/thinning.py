@@ -12,15 +12,14 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from functools import partial
 from itertools import accumulate, chain, islice, repeat, takewhile, zip_longest
 from operator import add, le, mul, truediv
 
 from .errors import TargetExceedsMeanError
 from .pmf import (
-    AttenuationCoefficient, Pmf, _as_eta, _as_int_in, _as_positive, _as_unit,
-    _check_kernel_bound,
+    AttenuationCoefficient, Pmf, _as_eta, _as_int_in, _as_positive, _check_kernel_bound,
 )
 
 # Output truncation: stop once the cumulative mass is within this of
@@ -36,9 +35,6 @@ _TRUNCATION_SLACK = 1e-15
 # window and cut that atom whole, so the window is kept this narrow.
 _STALL_WINDOW = 2.0**-45
 
-# Largest exponent math.exp accepts; beyond it results degrade to inf.
-_MAX_LOG = math.log(sys.float_info.max)
-
 # thin_direct starts no term below the smallest normal float; every
 # _PRUNE_EVERY rows it drops terms below it or below _PRUNE of their row's
 # largest (see _sweep), and it emits no row below it. It sums a mode's walk
@@ -52,19 +48,9 @@ _NEGLIGIBLE = 2.0**-64
 _GF_BLOCK_TERMS = 2**14
 
 
-def _gf_atoms(p: Pmf, log_z: float, order: int = 0) -> tuple[list[int], list[float], list[float]]:
-    """Columns N, log N! and log p(N) + (N - order) log z over the atoms of
-    ``p`` with positive mass, ascending in N."""
-    _check_kernel_bound(p)
-    kept = [(n, m) for n, m in p.entries if m > 0.0]
-    return ([n for n, _ in kept], [math.lgamma(n + 1) for n, _ in kept],
-            [math.log(m) + (n - order) * log_z for n, m in kept])
-
-
 def _gf_columns(atoms: tuple[list[int], list[float], list[float]], rows: range,
-                shifts: Iterator[float], f: Callable[[float], float],
-                ) -> Iterator[tuple[int, list[list[float]]]]:
-    """The GF terms of ``rows``: ``f`` of ((log N! - lgamma(N - n + 1)) + the
+                shifts: Iterator[float]) -> Iterator[tuple[int, list[list[float]]]]:
+    """The GF terms of ``rows``: exp of ((log N! - lgamma(N - n + 1)) + the
     atom's constant) + the next value of ``shifts`` at row n. The lgamma
     difference comes first, so at n = 0 it is exactly 0. They come in blocks
     of at most max(_GF_BLOCK_TERMS, atoms) terms, each block as its first row
@@ -72,7 +58,7 @@ def _gf_columns(atoms: tuple[list[int], list[float], list[float]], rows: range,
     rows up to N. Within a block the atoms' windows of lgamma arguments are
     merged, so each distinct one costs one call."""
     ns, lfs, consts = atoms
-    step = max(1, _GF_BLOCK_TERMS // max(1, len(ns)))
+    exp, step = math.exp, max(1, _GF_BLOCK_TERMS // max(1, len(ns)))
     for b0 in range(rows.start, rows.stop, step):
         b1, k = min(b0 + step, rows.stop), bisect_left(ns, b0)
         block = list(islice(shifts, b1 - b0))
@@ -81,31 +67,8 @@ def _gf_columns(atoms: tuple[list[int], list[float], list[float]], rows: range,
             table.extend(map(math.lgamma, range(max(n - b1 + 2, top + 1), n - b0 + 2)))
             top = n - b0 + 1
             lgs = table[-1:-2 - (min(n, b1 - 1) - b0):-1]  # lgamma(N - n + 1), n from b0 up
-            cols.append([f(((lf - g) + c) + s) for g, s in zip(lgs, block)])
+            cols.append([exp(((lf - g) + c) + s) for g, s in zip(lgs, block)])
         yield b0, cols
-
-
-def gf_derivative(p: Pmf, order: int, z: float) -> float:
-    """Order-th derivative of the probability generating function at z.
-
-    Computes sum over N >= order of N!/(N-order)! * p(N) * z^(N-order),
-    from the log terms of row ``order`` (:func:`_gf_columns`) added by max
-    shift and ``fsum``; a result past the float range degrades to inf.
-    """
-    order, z = _as_int_in("derivative order", order, 0, 2**63 - 1), _as_unit("evaluation point", z)
-    if z == 0.0:  # only N = order: (N - order) log 0 would be 0 * -inf = nan
-        _check_kernel_bound(p)
-        m = p.mass(order)
-        log_sum = math.lgamma(order + 1) + math.log(m) if m > 0.0 else -math.inf
-    else:
-        # One block of one row, shift 0; float keeps each log term as it is.
-        atoms = _gf_atoms(p, math.log(z), order)
-        _, cols = next(_gf_columns(atoms, range(order, order + 1), repeat(0.0), float))
-        logs = list(chain.from_iterable(cols))
-        log_sum = max(logs, default=-math.inf)
-        if log_sum > -math.inf:
-            log_sum += math.log(math.fsum([math.exp(t - log_sum) for t in logs]))
-    return math.inf if log_sum > _MAX_LOG else math.exp(log_sum)
 
 
 def _truncated(p: Pmf, entries: list[tuple[int, float]]) -> Pmf:
@@ -239,7 +202,13 @@ def thin_via_gf(p: Pmf, eta: float | AttenuationCoefficient, n_max: int) -> Pmf:
     if eta == 1.0:
         return _truncated(p, [(n, m) for n, m in p.entries if n <= n_max])
 
-    atoms, log_ratio = _gf_atoms(p, math.log1p(-eta)), math.log(eta / (1.0 - eta))
+    _check_kernel_bound(p)
+    # Columns N, log N! and log p(N) + N log(1 - eta) over the atoms of
+    # positive mass, ascending in N.
+    log_keep, log_ratio = math.log1p(-eta), math.log(eta / (1.0 - eta))
+    kept = [(n, m) for n, m in p.entries if m > 0.0]
+    atoms = ([n for n, _ in kept], [math.lgamma(n + 1) for n, _ in kept],
+             [math.log(m) + n * log_keep for n, m in kept])
     # Rows below every atom's mean by sqrt(1492 N eta) or more are skipped:
     # by the Chernoff bound P(X <= mu - t) <= exp(-t^2 / (2 mu)) each of
     # their terms is below e^-746, where exp returns 0, so none is emitted.
@@ -247,7 +216,7 @@ def thin_via_gf(p: Pmf, eta: float | AttenuationCoefficient, n_max: int) -> Pmf:
     rows = range(max(0, math.floor(low)), min(n_max, p.max_index) + 1)
     shifts = (n * log_ratio - math.lgamma(n + 1) for n in rows)
     entries: list[tuple[int, float]] = []
-    for first, cols in _gf_columns(atoms, rows, shifts, math.exp):
+    for first, cols in _gf_columns(atoms, rows, shifts):
         # An atom's column ends at its own N; the 0.0 padding is exact under sum.
         for n, q_n in enumerate(map(sum, zip_longest(*cols, fillvalue=0.0)), start=first):
             if q_n > 0.0:

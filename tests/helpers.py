@@ -1,4 +1,4 @@
-"""Shared generators for randomized distribution tests, row-wise copies of
+"""Shared generators for randomized distribution tests, a row-wise copy of
 the generating-function route, and an in-process runner for CLI commands."""
 
 from __future__ import annotations
@@ -6,7 +6,6 @@ from __future__ import annotations
 import io
 import math
 import os
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from unittest import mock
@@ -59,23 +58,6 @@ def gf_rows_rowwise(p: Pmf, eta: float, n_max: int) -> list[tuple[int, float]]:
         if q_n > 0.0:
             rows.append((n, q_n))
     return rows
-
-
-def gf_derivative_rowwise(p: Pmf, order: int, z: float) -> float:
-    """``gf_derivative`` formed term by term, as ``gf_rows_rowwise`` forms a
-    row: the log terms added by max shift and ``fsum``; at z = 0 only the
-    atom at N = order counts."""
-    if z == 0.0:
-        m = p.mass(order)
-        logs = [math.lgamma(order + 1) + math.log(m)] if m > 0.0 else []
-    else:
-        logs = [((math.lgamma(n + 1) - math.lgamma(n - order + 1))
-                 + (math.log(m) + (n - order) * math.log(z))) + 0.0
-                for n, m in p.entries if m > 0.0 and n >= order]
-    log_sum = max(logs, default=-math.inf)
-    if log_sum > -math.inf:
-        log_sum += math.log(math.fsum([math.exp(t - log_sum) for t in logs]))
-    return math.inf if log_sum > math.log(sys.float_info.max) else math.exp(log_sum)
 
 
 @dataclass(frozen=True)

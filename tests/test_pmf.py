@@ -1,4 +1,4 @@
-"""Core distribution type: construction, families, moments, GF, distance."""
+"""Core distribution type: construction, families, moments, distance."""
 
 import math
 import sys
@@ -23,7 +23,6 @@ from photonthin import (
     ZeroMeanError,
     build_report,
     eta_for_target_lambda,
-    gf_derivative,
     make_pmf,
     moments,
     poisson_family,
@@ -39,7 +38,6 @@ from photonthin.pmf import _MAX_KERNEL_N
 # Frozen oracle values (independent routes, see each test).
 EX3_PAIRS = [(1, 0.95), (1001, 0.05)]
 EX3_C = 9.121299500192233  # exact rational 47449/5202
-EX3_GF0_AT_0998 = 0.9548397196700894  # 0.95*0.998 + 0.05*0.998**1001
 TV_POISSON_01_00977 = 0.0020835211923684303  # direct series to n = 80
 
 
@@ -235,6 +233,21 @@ class TestMoments:
         assert sum(masses) != 1
         assert moments(pmf).variance == pytest.approx(float(e2 - e1 * e1), rel=1e-14)
 
+    def test_seeded_tables_against_exact_moments(self):
+        # Mean, variance and third factorial moment of sparse tables against
+        # exact rational sums over the stored masses.
+        rng = np.random.default_rng(44)
+        for _ in range(20):
+            p = random_sparse_pmf(rng, max_index=1500, max_atoms=30)
+            masses = [Fraction(m) for m in p.masses]
+            e1 = sum(n * m for n, m in zip(p.support, masses))
+            e2 = sum(n * n * m for n, m in zip(p.support, masses))
+            m3 = sum(n * (n - 1) * (n - 2) * m for n, m in zip(p.support, masses))
+            ms = moments(p)
+            assert ms.mean == pytest.approx(float(e1), rel=1e-15)
+            assert ms.variance == pytest.approx(float(e2 - e1 * e1), rel=1e-14)
+            assert ms.m3 == pytest.approx(float(m3), rel=1e-15)
+
     def test_c_floor_and_m3_nonnegative(self):
         rng = np.random.default_rng(101)
         for _ in range(50):
@@ -242,52 +255,6 @@ class TestMoments:
             assert ms.c >= -1.0 / (2.0 * ms.mean) - 1e-12
             assert ms.m3 >= -1e-12
             assert ms.variance >= -1e-12
-
-
-class TestGfDerivative:
-    def test_order0_at_one_is_total_mass(self):
-        rng = np.random.default_rng(42)
-        for _ in range(10):
-            p = random_sparse_pmf(rng, max_index=800, max_atoms=30)
-            assert gf_derivative(p, 0, 1.0) == pytest.approx(
-                1.0 - p.tail_defect, rel=1e-12
-            )
-
-    def test_order1_at_one_is_mean(self):
-        rng = np.random.default_rng(43)
-        for _ in range(20):
-            p = random_sparse_pmf(rng, max_index=2000, max_atoms=40)
-            assert gf_derivative(p, 1, 1.0) == pytest.approx(p.mean, rel=1e-12)
-
-    def test_order2_at_one_matches_moments(self):
-        rng = np.random.default_rng(44)
-        for _ in range(20):
-            p = random_sparse_pmf(rng, max_index=1500, max_atoms=30)
-            ms = moments(p)
-            expected = ms.variance + ms.mean**2 - ms.mean
-            assert gf_derivative(p, 2, 1.0) == pytest.approx(expected, rel=1e-10)
-
-    def test_two_term_evaluation(self):
-        p = make_pmf(EX3_PAIRS)
-        assert gf_derivative(p, 0, 0.998) == pytest.approx(EX3_GF0_AT_0998, rel=1e-13)
-
-    def test_at_zero_picks_single_term(self):
-        p = make_pmf([(0, 0.5), (2, 0.5)])
-        assert gf_derivative(p, 2, 0.0) == pytest.approx(1.0, rel=1e-14)
-        assert gf_derivative(p, 1, 0.0) == 0.0
-
-    def test_order_beyond_support_is_zero(self):
-        assert gf_derivative(make_pmf([(2, 1.0)]), 3, 0.7) == 0.0
-
-    def test_unrepresentable_magnitude_degrades_to_inf(self):
-        p = make_pmf([(2000, 1.0)])
-        assert gf_derivative(p, 300, 1.0) == math.inf
-        assert gf_derivative(p, 2000, 0.0) == math.inf
-
-    @pytest.mark.parametrize("order,z", [(-1, 0.5), (1, -0.1), (1, 1.5)])
-    def test_invalid_arguments(self, order, z):
-        with pytest.raises(InvalidParameterError):
-            gf_derivative(make_pmf([(1, 1.0)]), order, z)
 
 
 def _worst_rel_err(q: Pmf, big_n: int, eta: float, rows) -> float:
@@ -365,12 +332,6 @@ class TestThinViaGfRows:
         q = thin_via_gf(make_pmf(EX3_PAIRS), EX3_ETA, 0)
         assert abs(q.mass(0) - ex3_q0_closed_form(EX3_ETA)) <= 1e-15
 
-    def test_derivative_at_zero(self):
-        # Only the atom at N = order counts, the vacuum atom included.
-        p = make_pmf([(0, 0.25), (3, 0.75)])
-        assert gf_derivative(p, 0, 0.0) == 0.25
-        assert gf_derivative(p, 3, 0.0) == pytest.approx(4.5, rel=1e-15)
-
 
 class TestTvDistance:
     def test_identity_is_zero(self):
@@ -446,8 +407,6 @@ CONTRACT_TARGETS = {
     "target_lambda": lambda v: eta_for_target_lambda(make_pmf(EX3_PAIRS), v),
     "n_report": lambda v: build_report(make_pmf(EX3_PAIRS), 0.1, n_report=v),
     "n_max": lambda v: thin_via_gf(make_pmf(EX3_PAIRS), 0.1, n_max=v),
-    "order": lambda v: gf_derivative(make_pmf(EX3_PAIRS), v, 0.5),
-    "z": lambda v: gf_derivative(make_pmf(EX3_PAIRS), 1, v),
     "predicted_c": lambda v: predicted_delta(v, 0.1),
     "predicted_lambda": lambda v: predicted_delta(0.1, v),
     "risk_c": lambda v: risk_approx(v, 0.1),
@@ -478,7 +437,6 @@ NOT_APPLICABLE = {
 
 # Each integer parameter's bound and the value one past it.
 INTEGER_EDGES = {
-    "order": (2**63 - 1, 2**63),
     "seed": (2**64 - 1, 2**64),
     "n_report": (_MAX_KERNEL_N, _MAX_KERNEL_N + 1),
     "trials": (1, 0),
@@ -550,6 +508,39 @@ class TestInputContract:
         assert p.entries == ((1, 0.5), (3, 0.5))
         assert type(Pmf(((3, 1),)).entries[0][1]) is float
 
+    @pytest.mark.parametrize(
+        "entries, tail_defect",
+        [(((0, 0.5), (3, 0.5 - 1e-12)), np.float32(1e-12)),
+         (((0, 0.5), (3, 0.5 - 1e-12)), Fraction(1, 10**12)),
+         (((0, 0.5), (3, 0.5)), Fraction(0))],
+        ids=["float32", "fraction", "fraction_zero"],
+    )
+    def test_pmf_stores_float_tail_defect(self, entries, tail_defect):
+        p = Pmf(entries, tail_defect=tail_defect)
+        assert p.tail_defect == float(tail_defect)
+        for q in (p, thin_direct(p, 0.3), thin_via_gf(p, 0.3, 3)):
+            assert type(q.tail_defect) is float
+        assert type(tv_distance(p, p)) is float
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: [(0, 0.5), (1, 0.5)], lambda: [[0, 0.5], [1, 0.5]],
+         lambda: ((0, 0.5), [1, 0.5])],
+        ids=["list_of_tuples", "list_of_lists", "tuple_with_a_list"],
+    )
+    def test_pmf_stores_entries_as_tuples(self, make):
+        entries = make()
+        p, expected = Pmf(entries), Pmf(((0, 0.5), (1, 0.5)))
+        assert type(p.entries) is tuple and all(type(e) is tuple for e in p.entries)
+        assert p == expected and hash(p) == hash(expected)
+        # Changing what was passed in leaves the instance as it was checked.
+        if isinstance(entries, list):
+            entries.append((2, 0.1))
+        for entry in entries:
+            if isinstance(entry, list):
+                entry[1] = 0.9
+        assert p.entries == ((0, 0.5), (1, 0.5)) and p.total_mass == 1.0
+
     def test_moments_of_numpy_index_do_not_wrap(self):
         # n(n-1)(n-2) at 3e6 is past the int64 range.
         ms = moments(Pmf(((np.int64(3_000_000), 1.0),)))
@@ -574,12 +565,11 @@ class TestKernelBound:
         [
             lambda p: thin_direct(p, 0.5),
             lambda p: thin_via_gf(p, 0.5, 10),
-            lambda p: gf_derivative(p, 1, 0.5),
             lambda p: build_report(p, 0.5),
             lambda p: simulate_thinned(p, 0.5, McConfig(seed=1, trials=10)),
             lambda p: simulate_thinned(p, 1.0, McConfig(seed=1, trials=10)),
         ],
-        ids=["thin_direct", "thin_via_gf", "gf_derivative", "build_report", "simulate_thinned",
+        ids=["thin_direct", "thin_via_gf", "build_report", "simulate_thinned",
              "simulate_thinned_eta_1"],
     )
     def test_point_mass_past_bound_rejected(self, n, call):

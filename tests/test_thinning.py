@@ -7,14 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (
-    EX3_ETA, ex3_q0_closed_form, gf_derivative_rowwise, gf_rows_rowwise, random_sparse_pmf,
-)
+from helpers import EX3_ETA, ex3_q0_closed_form, gf_rows_rowwise, random_sparse_pmf
 from photonthin import (
     InvalidParameterError,
     TargetExceedsMeanError,
     eta_for_target_lambda,
-    gf_derivative,
     make_pmf,
     poisson_family,
     thin_direct,
@@ -351,13 +348,3 @@ class TestGfColumns:
         q = thin_via_gf(p, 0.5, 21_000)
         assert starts == [math.floor(20_000 - math.sqrt(1492 * 20_000))]
         assert list(q.entries) == gf_rows_rowwise(p, 0.5, 21_000)
-
-    @pytest.mark.parametrize("z", [0.0, 0.3, 1.0])
-    @pytest.mark.parametrize("order", [0, 1, 3])
-    def test_gf_derivative_bit_equal_to_rowwise(self, order, z):
-        rng = np.random.default_rng(7 + order)
-        tables = [make_pmf(pairs) for pairs in GF_COLUMN_TABLES.values()]
-        tables += [make_pmf([(0, 0.25), (3, 0.75)])]
-        tables += [random_sparse_pmf(rng, max_index=2000, max_atoms=40) for _ in range(10)]
-        for p in tables:
-            assert gf_derivative(p, order, z) == gf_derivative_rowwise(p, order, z)
