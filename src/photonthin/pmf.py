@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -43,6 +44,10 @@ _MAX_KERNEL_N = 2**20
 
 # Largest outcome of a report's per-outcome series unless asked otherwise.
 DEFAULT_N_REPORT = 10
+
+# log k! = math.lgamma(k + 1) at index k, shared by the whole process; see
+# _log_factorials. The kernel bound caps it at _MAX_KERNEL_N + 1 doubles.
+_LOG_FACTORIALS = array("d", [0.0])
 
 
 def _as_int(name: str, value: object) -> int:
@@ -114,6 +119,19 @@ def _as_eta(eta: float | AttenuationCoefficient) -> float:
     if isinstance(eta, AttenuationCoefficient):
         return eta.eta
     return _as_unit("attenuation coefficient", eta)
+
+
+def _log_factorials(top: int) -> array:
+    """The table of log k! = math.lgamma(k + 1), for k from 0 to at least
+    ``top``. It grows by a longer copy that replaces the module's, so a
+    table once returned never changes, and threads need no lock: a grower
+    that loses a race binds a shorter table, the next call extends it."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if len(table) <= top:
+        table = table + array("d", map(math.lgamma, range(len(table) + 1, top + 2)))
+        _LOG_FACTORIALS = table
+    return table
 
 
 def _check_kernel_bound(p: Pmf) -> None:
@@ -277,8 +295,9 @@ def poisson_family(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
     # The walk stops once that bound is below tail_eps * 2**-53: what it
     # leaves unwalked cannot move any tail of at most tail_eps.
     masses: list[float] = []
+    log_fact = _log_factorials(hard_cap)
     for n in range(hard_cap + 1):
-        mass = math.exp(-mu + n * log_mu - math.lgamma(n + 1))
+        mass = math.exp(-mu + n * log_mu - log_fact[n])
         masses.append(mass)
         if n > mu and mass * mu < tail_eps * 2.0**-53 * (n + 1 - mu):
             break

@@ -2,8 +2,9 @@
 
 ``thin_direct`` steps each atom's binomial terms by the ratio of
 consecutive terms; ``thin_via_gf`` goes through generating-function
-derivatives at 1 - eta, each term one ``exp`` of lgamma logs. The routes
-share no arithmetic, and high-precision reference tests, the semigroup
+derivatives at 1 - eta, each term one ``exp`` of log-factorials read from
+one process-wide table of ``math.lgamma`` values. The routes share no
+arithmetic, and high-precision reference tests, the semigroup
 property and the Monte Carlo oracle check both. Pure Python: no numpy.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterator
 from functools import partial
@@ -20,6 +22,7 @@ from operator import add, le, mul, truediv
 from .errors import TargetExceedsMeanError
 from .pmf import (
     AttenuationCoefficient, Pmf, _as_eta, _as_int_in, _as_positive, _check_kernel_bound,
+    _log_factorials,
 )
 
 # Output truncation: stop once the cumulative mass is within this of
@@ -48,25 +51,24 @@ _NEGLIGIBLE = 2.0**-64
 _GF_BLOCK_TERMS = 2**14
 
 
-def _gf_columns(atoms: tuple[list[int], list[float], list[float]], rows: range,
-                shifts: Iterator[float]) -> Iterator[tuple[int, list[list[float]]]]:
-    """The GF terms of ``rows``: exp of ((log N! - lgamma(N - n + 1)) + the
-    atom's constant) + the next value of ``shifts`` at row n. The lgamma
-    difference comes first, so at n = 0 it is exactly 0. They come in blocks
-    of at most max(_GF_BLOCK_TERMS, atoms) terms, each block as its first row
-    and one column per atom N >= that row, ascending in N, over the block's
-    rows up to N. Within a block the atoms' windows of lgamma arguments are
-    merged, so each distinct one costs one call."""
-    ns, lfs, consts = atoms
+def _gf_columns(atoms: tuple[list[int], list[float]], rows: range, shifts: Iterator[float],
+                log_fact: array) -> Iterator[tuple[int, list[list[float]]]]:
+    """The GF terms of ``rows``: exp of ((log N! - log (N - n)!) + the atom's
+    constant) + the next value of ``shifts`` at row n, both logs read from
+    ``log_fact`` (log k! at index k), so at n = 0 their difference is
+    exactly 0. They come in blocks of at most max(_GF_BLOCK_TERMS, atoms)
+    terms, each block as its first row and one column per atom N >= that
+    row, ascending in N, over the block's rows up to N; a column's
+    log (N - n)! is a reversed slice of the table."""
+    ns, consts = atoms
     exp, step = math.exp, max(1, _GF_BLOCK_TERMS // max(1, len(ns)))
     for b0 in range(rows.start, rows.stop, step):
         b1, k = min(b0 + step, rows.stop), bisect_left(ns, b0)
         block = list(islice(shifts, b1 - b0))
-        table, cols, top = [], [], 0  # table ends with lgamma(top)
-        for n, lf, c in zip(ns[k:], lfs[k:], consts[k:]):
-            table.extend(map(math.lgamma, range(max(n - b1 + 2, top + 1), n - b0 + 2)))
-            top = n - b0 + 1
-            lgs = table[-1:-2 - (min(n, b1 - 1) - b0):-1]  # lgamma(N - n + 1), n from b0 up
+        cols = []
+        for n, c in zip(ns[k:], consts[k:]):
+            lf = log_fact[n]
+            lgs = log_fact[n - b0:n - b1 if n >= b1 else None:-1]  # log (N - n)!, n from b0 up
             cols.append([exp(((lf - g) + c) + s) for g, s in zip(lgs, block)])
         yield b0, cols
 
@@ -203,20 +205,22 @@ def thin_via_gf(p: Pmf, eta: float | AttenuationCoefficient, n_max: int) -> Pmf:
         return _truncated(p, [(n, m) for n, m in p.entries if n <= n_max])
 
     _check_kernel_bound(p)
-    # Columns N, log N! and log p(N) + N log(1 - eta) over the atoms of
-    # positive mass, ascending in N.
+    # Columns N and log p(N) + N log(1 - eta) over the atoms of positive
+    # mass, ascending in N.
     log_keep, log_ratio = math.log1p(-eta), math.log(eta / (1.0 - eta))
     kept = [(n, m) for n, m in p.entries if m > 0.0]
-    atoms = ([n for n, _ in kept], [math.lgamma(n + 1) for n, _ in kept],
-             [math.log(m) + n * log_keep for n, m in kept])
-    # Rows below every atom's mean by sqrt(1492 N eta) or more are skipped:
-    # by the Chernoff bound P(X <= mu - t) <= exp(-t^2 / (2 mu)) each of
-    # their terms is below e^-746, where exp returns 0, so none is emitted.
-    low = min((n * eta - math.sqrt(1492.0 * n * eta) for n in atoms[0]), default=0.0)
+    atoms = ([n for n, _ in kept], [math.log(m) + n * log_keep for n, m in kept])
+    # Rows below every atom's mean by min(sqrt(1492 N eta), sqrt(373 N)) or
+    # more are skipped: by the Chernoff bound P(X <= mu - t) <= exp(-t^2 / (2 mu))
+    # and Hoeffding's exp(-2 t^2 / N) each of their terms is below e^-746,
+    # where exp returns 0, so none is emitted.
+    low = min((n * eta - min(math.sqrt(1492.0 * n * eta), math.sqrt(373.0 * n)) for n in atoms[0]),
+              default=0.0)
     rows = range(max(0, math.floor(low)), min(n_max, p.max_index) + 1)
-    shifts = (n * log_ratio - math.lgamma(n + 1) for n in rows)
+    log_fact = _log_factorials(p.max_index)
+    shifts = (n * log_ratio - log_fact[n] for n in rows)
     entries: list[tuple[int, float]] = []
-    for first, cols in _gf_columns(atoms, rows, shifts):
+    for first, cols in _gf_columns(atoms, rows, shifts, log_fact):
         # An atom's column ends at its own N; the 0.0 padding is exact under sum.
         for n, q_n in enumerate(map(sum, zip_longest(*cols, fillvalue=0.0)), start=first):
             if q_n > 0.0:

@@ -2,6 +2,8 @@
 
 import math
 import sys
+import threading
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +20,7 @@ from photonthin import (
     thin_via_gf,
     tv_distance,
 )
-from photonthin import thinning
+from photonthin import pmf, thinning
 from photonthin.cli import wide_input
 
 EX3 = [(1, 0.95), (1001, 0.05)]
@@ -335,8 +337,9 @@ class TestGfColumns:
 
     def test_rows_below_the_chernoff_start_are_not_formed(self, monkeypatch):
         # A point mass at 40 000 at eta 0.5: every term of a row below
-        # 20 000 - sqrt(1492 * 20 000), about 14 537, is below e^-746, so
-        # the route starts there, and emits what rows formed from 0 emit.
+        # 20 000 - min(sqrt(1492 * 20 000), sqrt(373 * 40 000)), the later of
+        # the Chernoff and Hoeffding starts, about 16 137, is below e^-746,
+        # so the route starts there, and emits what rows formed from 0 emit.
         p = make_pmf([(40_000, 1.0)])
         starts, columns = [], thinning._gf_columns
 
@@ -346,5 +349,79 @@ class TestGfColumns:
 
         monkeypatch.setattr(thinning, "_gf_columns", spy)
         q = thin_via_gf(p, 0.5, 21_000)
-        assert starts == [math.floor(20_000 - math.sqrt(1492 * 20_000))]
+        assert starts == [16_137]
         assert list(q.entries) == gf_rows_rowwise(p, 0.5, 21_000)
+
+
+@pytest.fixture
+def fresh_log_factorials(monkeypatch):
+    """An empty process-wide log-factorial table for one test, the grown one
+    restored after it."""
+    monkeypatch.setattr(pmf, "_LOG_FACTORIALS", array("d", [0.0]))
+
+
+@pytest.fixture
+def lgamma_args(monkeypatch):
+    """The arguments of every math.lgamma call made while the test runs."""
+    args, lgamma = [], math.lgamma
+
+    def counting(x):
+        args.append(x)
+        return lgamma(x)
+
+    monkeypatch.setattr(math, "lgamma", counting)
+    return args
+
+
+@pytest.mark.usefixtures("fresh_log_factorials")
+class TestLogFactorialTable:
+    """The one table of log k! that thin_via_gf and poisson_family read."""
+
+    def test_entries_are_lgamma_across_two_growths(self):
+        first = pmf._log_factorials(10)
+        second = pmf._log_factorials(1000)
+        assert pmf._log_factorials(500) is second
+        assert len(first) == 11  # a table once returned never changes
+        for table in (first, second):
+            assert table.tobytes() == array("d", map(math.lgamma, range(1, len(table) + 1))).tobytes()
+
+    def test_second_call_makes_no_lgamma_call(self, lgamma_args):
+        p = random_sparse_pmf(np.random.default_rng(3), max_index=2000, max_atoms=40)
+        first = thin_via_gf(p, 0.3, 200)
+        lgamma_args.clear()
+        assert thin_via_gf(p, 0.3, 200) == first
+        assert lgamma_args == []
+
+    def test_wide_input_one_call_per_argument(self, lgamma_args):
+        # Each block of rows once called lgamma again for what an earlier
+        # block had: 5806 calls for the 763 arguments 2..764.
+        p = wide_input()
+        expected = gf_rows_rowwise(p, 0.1, 134)
+        lgamma_args.clear()
+        assert list(thin_via_gf(p, 0.1, 134).entries) == expected
+        assert sorted(lgamma_args) == list(range(2, p.max_index + 2))
+
+    def test_threads_growing_at_once(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        tables = [random_sparse_pmf(rng, max_index=top, max_atoms=40) for top in (300, 900, 2000, 4000)]
+        expected = [gf_rows_rowwise(p, 0.3, 120) for p in tables]
+        switch = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for _ in range(3):
+                monkeypatch.setattr(pmf, "_LOG_FACTORIALS", array("d", [0.0]))
+                start, results = threading.Barrier(len(tables)), [None] * len(tables)
+
+                def run(i):
+                    start.wait(timeout=10)
+                    results[i] = list(thin_via_gf(tables[i], 0.3, 120).entries)
+
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(len(tables))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert results == expected
+        finally:
+            sys.setswitchinterval(switch)
