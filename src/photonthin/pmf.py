@@ -18,7 +18,7 @@ import numbers
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, count, repeat
 from operator import sub
 
 from .errors import (
@@ -45,9 +45,11 @@ _MAX_KERNEL_N = 2**20
 # Largest outcome of a report's per-outcome series unless asked otherwise.
 DEFAULT_N_REPORT = 10
 
-# log k! = math.lgamma(k + 1) at index k, shared by the whole process; see
-# _log_factorials. The kernel bound caps it at _MAX_KERNEL_N + 1 doubles.
-_LOG_FACTORIALS = array("d", [0.0])
+# log k! = math.lgamma(k + 1), shared by the whole process in chunks of
+# 2**_LOG_FACTORIAL_SHIFT values, chunk c holding k from c << shift; a chunk
+# is computed when a call first reads one of its k (see _log_factorial_chunk).
+_LOG_FACTORIAL_SHIFT = 10
+_LOG_FACTORIALS: dict[int, array] = {}
 
 
 def _as_int(name: str, value: object) -> int:
@@ -121,17 +123,35 @@ def _as_eta(eta: float | AttenuationCoefficient) -> float:
     return _as_unit("attenuation coefficient", eta)
 
 
-def _log_factorials(top: int) -> array:
-    """The table of log k! = math.lgamma(k + 1), for k from 0 to at least
-    ``top``. It grows by a longer copy that replaces the module's, so a
-    table once returned never changes, and threads need no lock: a grower
-    that loses a race binds a shorter table, the next call extends it."""
-    global _LOG_FACTORIALS
-    table = _LOG_FACTORIALS
-    if len(table) <= top:
-        table = table + array("d", map(math.lgamma, range(len(table) + 1, top + 2)))
-        _LOG_FACTORIALS = table
-    return table
+def _log_factorial_chunk(c: int) -> array:
+    """log k! = math.lgamma(k + 1) for the k of chunk ``c``, computed once
+    per process. A chunk never changes once stored, so threads need no
+    lock: two that compute one chunk at once store and return equal values."""
+    chunk = _LOG_FACTORIALS.get(c)
+    if chunk is None:
+        k0 = c << _LOG_FACTORIAL_SHIFT
+        values = array("d", map(math.lgamma, range(k0 + 1, k0 + (1 << _LOG_FACTORIAL_SHIFT) + 1)))
+        chunk = _LOG_FACTORIALS.setdefault(c, values)
+    return chunk
+
+
+def _log_factorial(k: int) -> float:
+    """log k! = math.lgamma(k + 1), read from its chunk."""
+    return _log_factorial_chunk(k >> _LOG_FACTORIAL_SHIFT)[k & ((1 << _LOG_FACTORIAL_SHIFT) - 1)]
+
+
+def _log_factorials(start: int, stop: int) -> array:
+    """log k! for k from ``start`` through the end of the chunk that holds
+    ``stop`` - 1, as a new array: at least the ``stop`` - ``start`` values
+    asked for. Only the chunks holding those k are computed."""
+    if stop <= start:
+        return array("d")
+    shift = _LOG_FACTORIAL_SHIFT
+    first = start >> shift
+    window = _log_factorial_chunk(first)[start - (first << shift):]
+    for c in range(first + 1, ((stop - 1) >> shift) + 1):
+        window += _log_factorial_chunk(c)
+    return window
 
 
 def _check_kernel_bound(p: Pmf) -> None:
@@ -295,9 +315,9 @@ def poisson_family(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
     # The walk stops once that bound is below tail_eps * 2**-53: what it
     # leaves unwalked cannot move any tail of at most tail_eps.
     masses: list[float] = []
-    log_fact = _log_factorials(hard_cap)
-    for n in range(hard_cap + 1):
-        mass = math.exp(-mu + n * log_mu - log_fact[n])
+    log_facts = chain.from_iterable(map(_log_factorial_chunk, count()))
+    for n, log_fact in zip(range(hard_cap + 1), log_facts):
+        mass = math.exp(-mu + n * log_mu - log_fact)
         masses.append(mass)
         if n > mu and mass * mu < tail_eps * 2.0**-53 * (n + 1 - mu):
             break

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from array import array
 from bisect import bisect_left
 from collections.abc import Iterator
 from functools import partial
@@ -22,7 +21,7 @@ from operator import add, le, mul, truediv
 from .errors import TargetExceedsMeanError
 from .pmf import (
     AttenuationCoefficient, Pmf, _as_eta, _as_int_in, _as_positive, _check_kernel_bound,
-    _log_factorials,
+    _log_factorial, _log_factorials,
 )
 
 # Output truncation: stop once the cumulative mass is within this of
@@ -51,24 +50,34 @@ _NEGLIGIBLE = 2.0**-64
 _GF_BLOCK_TERMS = 2**14
 
 
-def _gf_columns(atoms: tuple[list[int], list[float]], rows: range, shifts: Iterator[float],
-                log_fact: array) -> Iterator[tuple[int, list[list[float]]]]:
+def _gf_columns(atoms: tuple[list[int], list[float], list[float]], rows: range,
+                shifts: Iterator[float]) -> Iterator[tuple[int, list[list[float]]]]:
     """The GF terms of ``rows``: exp of ((log N! - log (N - n)!) + the atom's
-    constant) + the next value of ``shifts`` at row n, both logs read from
-    ``log_fact`` (log k! at index k), so at n = 0 their difference is
-    exactly 0. They come in blocks of at most max(_GF_BLOCK_TERMS, atoms)
-    terms, each block as its first row and one column per atom N >= that
-    row, ascending in N, over the block's rows up to N; a column's
-    log (N - n)! is a reversed slice of the table."""
-    ns, consts = atoms
+    constant) + the next value of ``shifts`` at row n, so at n = 0 the log
+    difference is exactly 0. They come in blocks of at most
+    max(_GF_BLOCK_TERMS, atoms) terms, each block as its first row and one
+    column per atom N >= that row, ascending in N, over the block's rows up
+    to N. A column reads its log (N - n)! from the process-wide table of
+    log k! (``pmf._log_factorials``), which computes a chunk of it only when
+    a call first reads it."""
+    ns, lfs, consts = atoms
     exp, step = math.exp, max(1, _GF_BLOCK_TERMS // max(1, len(ns)))
     for b0 in range(rows.start, rows.stop, step):
         b1, k = min(b0 + step, rows.stop), bisect_left(ns, b0)
         block = list(islice(shifts, b1 - b0))
-        cols = []
-        for n, c in zip(ns[k:], consts[k:]):
-            lf = log_fact[n]
-            lgs = log_fact[n - b0:n - b1 if n >= b1 else None:-1]  # log (N - n)!, n from b0 up
+        # table holds log k! for k from t0 to t1 - 1. A column reads k from
+        # N - b0 down to max(0, N - b1 + 1); a table fetched for it starts
+        # one below that, so a reversed slice never stops at -1, and runs to
+        # the end of a chunk. Columns ascend in N, so it serves the next ones
+        # until one reads past t1.
+        cols, table, t0, t1 = [], None, 0, 0
+        for n, lf, c in zip(ns[k:], lfs[k:], consts[k:]):
+            hi = n - b0 + 1
+            if hi > t1:
+                t0 = max(0, n - b1)
+                table = _log_factorials(t0, hi)
+                t1 = t0 + len(table)
+            lgs = table[hi - 1 - t0:n - b1 - t0 if n >= b1 else None:-1]  # log (N - n)!, n from b0 up
             cols.append([exp(((lf - g) + c) + s) for g, s in zip(lgs, block)])
         yield b0, cols
 
@@ -205,11 +214,12 @@ def thin_via_gf(p: Pmf, eta: float | AttenuationCoefficient, n_max: int) -> Pmf:
         return _truncated(p, [(n, m) for n, m in p.entries if n <= n_max])
 
     _check_kernel_bound(p)
-    # Columns N and log p(N) + N log(1 - eta) over the atoms of positive
-    # mass, ascending in N.
+    # Columns N, log N! and log p(N) + N log(1 - eta) over the atoms of
+    # positive mass, ascending in N.
     log_keep, log_ratio = math.log1p(-eta), math.log(eta / (1.0 - eta))
     kept = [(n, m) for n, m in p.entries if m > 0.0]
-    atoms = ([n for n, _ in kept], [math.log(m) + n * log_keep for n, m in kept])
+    atoms = ([n for n, _ in kept], [_log_factorial(n) for n, _ in kept],
+             [math.log(m) + n * log_keep for n, m in kept])
     # Rows below every atom's mean by min(sqrt(1492 N eta), sqrt(373 N)) or
     # more are skipped: by the Chernoff bound P(X <= mu - t) <= exp(-t^2 / (2 mu))
     # and Hoeffding's exp(-2 t^2 / N) each of their terms is below e^-746,
@@ -217,10 +227,9 @@ def thin_via_gf(p: Pmf, eta: float | AttenuationCoefficient, n_max: int) -> Pmf:
     low = min((n * eta - min(math.sqrt(1492.0 * n * eta), math.sqrt(373.0 * n)) for n in atoms[0]),
               default=0.0)
     rows = range(max(0, math.floor(low)), min(n_max, p.max_index) + 1)
-    log_fact = _log_factorials(p.max_index)
-    shifts = (n * log_ratio - log_fact[n] for n in rows)
+    shifts = (n * log_ratio - g for n, g in zip(rows, _log_factorials(rows.start, rows.stop)))
     entries: list[tuple[int, float]] = []
-    for first, cols in _gf_columns(atoms, rows, shifts, log_fact):
+    for first, cols in _gf_columns(atoms, rows, shifts):
         # An atom's column ends at its own N; the 0.0 padding is exact under sum.
         for n, q_n in enumerate(map(sum, zip_longest(*cols, fillvalue=0.0)), start=first):
             if q_n > 0.0:

@@ -357,7 +357,7 @@ class TestGfColumns:
 def fresh_log_factorials(monkeypatch):
     """An empty process-wide log-factorial table for one test, the grown one
     restored after it."""
-    monkeypatch.setattr(pmf, "_LOG_FACTORIALS", array("d", [0.0]))
+    monkeypatch.setattr(pmf, "_LOG_FACTORIALS", {})
 
 
 @pytest.fixture
@@ -373,17 +373,24 @@ def lgamma_args(monkeypatch):
     return args
 
 
+CHUNK = 2**pmf._LOG_FACTORIAL_SHIFT
+
+
 @pytest.mark.usefixtures("fresh_log_factorials")
 class TestLogFactorialTable:
     """The one table of log k! that thin_via_gf and poisson_family read."""
 
-    def test_entries_are_lgamma_across_two_growths(self):
-        first = pmf._log_factorials(10)
-        second = pmf._log_factorials(1000)
-        assert pmf._log_factorials(500) is second
-        assert len(first) == 11  # a table once returned never changes
-        for table in (first, second):
-            assert table.tobytes() == array("d", map(math.lgamma, range(1, len(table) + 1))).tobytes()
+    def test_entries_are_lgamma_across_chunks(self):
+        for start, stop, end in [(0, 10, CHUNK), (CHUNK - 3, 3 * CHUNK + 5, 4 * CHUNK), (5, 5, 5),
+                                 (CHUNK, CHUNK + 1, 2 * CHUNK)]:
+            # From start through the end of the chunk holding stop - 1.
+            window = pmf._log_factorials(start, stop)
+            assert window.tobytes() == array("d", map(math.lgamma, range(start + 1, end + 1))).tobytes()
+        assert [pmf._log_factorial(k) for k in (0, 1, CHUNK - 1, CHUNK, 3 * CHUNK)] == [
+            math.lgamma(k + 1) for k in (0, 1, CHUNK - 1, CHUNK, 3 * CHUNK)]
+        first = pmf._log_factorial_chunk(1)
+        pmf._log_factorials(0, 4 * CHUNK)
+        assert pmf._log_factorial_chunk(1) is first  # a stored chunk is never replaced
 
     def test_second_call_makes_no_lgamma_call(self, lgamma_args):
         p = random_sparse_pmf(np.random.default_rng(3), max_index=2000, max_atoms=40)
@@ -394,12 +401,36 @@ class TestLogFactorialTable:
 
     def test_wide_input_one_call_per_argument(self, lgamma_args):
         # Each block of rows once called lgamma again for what an earlier
-        # block had: 5806 calls for the 763 arguments 2..764.
+        # block had: 5806 calls for the 763 arguments 2..764. Now the one
+        # chunk holding k 0..764 is computed once.
         p = wide_input()
         expected = gf_rows_rowwise(p, 0.1, 134)
         lgamma_args.clear()
         assert list(thin_via_gf(p, 0.1, 134).entries) == expected
-        assert sorted(lgamma_args) == list(range(2, p.max_index + 2))
+        assert p.max_index < CHUNK
+        assert sorted(lgamma_args) == list(range(1, CHUNK + 1))
+
+    def test_a_cold_call_computes_only_the_chunks_it_reads(self):
+        # Atoms at 10 and 2**20 to row 60: log k! for k up to 60 and from
+        # 2**20 - 60, not the million k between.
+        p = make_pmf([(10, 0.5), (2**20, 0.5)])
+        assert list(thin_via_gf(p, 1e-5, 60).entries) == gf_rows_rowwise(p, 1e-5, 60)
+        assert set(pmf._LOG_FACTORIALS) == {0, (2**20 - 60) // CHUNK, 2**20 // CHUNK}
+
+    def test_a_point_mass_at_the_kernel_bound_reads_near_its_mode(self):
+        # Rows from the start 504 511 to 2**19 + 3000, columns log (N - n)!
+        # from 2**20 - (2**19 + 3000) up, and log N! itself.
+        thin_via_gf(make_pmf([(2**20, 1.0)]), 0.5, 2**19 + 3000)
+        reads = set(range(504_511 // CHUNK, (2**20 - 504_511) // CHUNK + 1)) | {2**20 // CHUNK}
+        assert set(pmf._LOG_FACTORIALS) == reads
+
+    def test_poisson_family_computes_chunks_up_to_its_last_term(self):
+        # Its walk may run to mu + 20 sqrt(mu + 1) + 400, here 1200, but
+        # stops near 600, so the chunk from 1024 is not computed.
+        p = poisson_family(400.0)
+        assert p.max_index < CHUNK < int(400.0 + 20.0 * math.sqrt(401.0) + 400.0)
+        assert set(pmf._LOG_FACTORIALS) == {0}
+        assert p.mass(400) == math.exp(-400.0 + 400 * math.log(400.0) - math.lgamma(401))
 
     def test_threads_growing_at_once(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -409,7 +440,7 @@ class TestLogFactorialTable:
         try:
             sys.setswitchinterval(1e-6)
             for _ in range(3):
-                monkeypatch.setattr(pmf, "_LOG_FACTORIALS", array("d", [0.0]))
+                monkeypatch.setattr(pmf, "_LOG_FACTORIALS", {})
                 start, results = threading.Barrier(len(tables)), [None] * len(tables)
 
                 def run(i):
