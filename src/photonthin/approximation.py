@@ -122,7 +122,7 @@ def risk_exact(q: Pmf) -> float:
         AllVacuumError: if all mass sits at zero photons.
     """
     survived = _mass_from(q, 1)
-    if survived <= 1e-15:
+    if survived == 0.0:
         raise AllVacuumError("all mass at zero photons; conditional risk undefined")
     return _mass_from(q, 2) / survived
 

@@ -50,10 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .pmf import AttenuationCoefficient, Pmf, _as_eta, _as_int_in, _check_kernel_bound, tv_distance
+from .pmf import (
+    NORMALIZATION_TOL, AttenuationCoefficient, Pmf, _as_eta, _as_int_in, _check_kernel_bound, tv_distance,
+)
 from .thinning import thin_direct
-
-_MAX_INPUT_DEFECT = 1e-9
 
 # Pulses in every chunk but the last, so the substream layout and with it
 # every fixed-seed result. Sparse chunks place their photon slots in
@@ -129,9 +129,9 @@ def simulate_thinned(
     """
     _as_int_in("workers", workers, 1)
     eta = _as_eta(eta)
-    if p.tail_defect > _MAX_INPUT_DEFECT:
+    if p.tail_defect > NORMALIZATION_TOL:
         raise InvalidParameterError(
-            f"input tail defect {p.tail_defect!r} exceeds {_MAX_INPUT_DEFECT}"
+            f"input tail defect {p.tail_defect!r} exceeds {NORMALIZATION_TOL}"
         )
     _check_kernel_bound(p)
 

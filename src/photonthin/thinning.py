@@ -30,12 +30,10 @@ from .pmf import (
 _TRUNCATION_SLACK = 1e-15
 
 # thin_direct also stops at the first row that leaves its running sum
-# unchanged, once the sum is within this of the input's total: the rows'
-# rounding can leave the sum short of _TRUNCATION_SLACK for good. About
-# twice the largest shortfall measured, 1.43e-14 at N 300, eta 0.9. The
-# rule can fire in the zero rows before a far atom lighter than the
-# window and cut that atom whole, so the window is kept this narrow.
-_STALL_WINDOW = 2.0**-45
+# unchanged, once the rows past it hold at most float64's unit roundoff
+# times that sum by a bound it works out (see thin_direct): the rows'
+# rounding can leave the sum short of _TRUNCATION_SLACK for good.
+_UNIT_ROUNDOFF = sys.float_info.epsilon / 2
 
 # thin_direct starts no term below the smallest normal float; every
 # _PRUNE_EVERY rows it drops terms below it or below _PRUNE of their row's
@@ -144,10 +142,15 @@ def thin_direct(p: Pmf, eta: float | AttenuationCoefficient) -> Pmf:
     times the input mass m at N, each row an ``fsum`` (:func:`_sweep`).
     An atom starts at row 0 with m (1-eta)^N where that is a normal float,
     else at its mode (:func:`_mode_share`), walked down and up. Rows are
-    cut once their mass reaches the input's total less 1e-15, or, within
-    2**-45 of it, at the first row that leaves the sum unchanged.
-    A row below the smallest normal float is not emitted. The cut joins the
-    inherited tail defect. eta 0 and 1 are exact."""
+    cut once their mass reaches the input's total less 1e-15, or at the
+    first row that leaves the sum unchanged where a bound on the rows past
+    it is at most 2**-53 of the sum. The bound holds once every atom has
+    started: from row n on, each term of atom N is at most
+    r = (N_max - n)/(n + 1) * eta/(1 - eta) times the one before, N_max
+    the input's largest index, and r only shrinks, so for r < 1 the rows
+    past n hold at most q_n r / (1 - r). A row below the smallest normal
+    float is not emitted. The cut joins the inherited tail defect. eta 0
+    and 1 are exact."""
     eta = _as_eta(eta)
     if eta == 0.0:
         return Pmf(((0, p.total_mass),), tail_defect=p.tail_defect)
@@ -179,7 +182,7 @@ def thin_direct(p: Pmf, eta: float | AttenuationCoefficient) -> Pmf:
     if lower:
         rows = map(add, rows, chain(repeat(0.0, low - up[0][0]), lower, repeat(0.0)))
     target = p.total_mass - _TRUNCATION_SLACK
-    near = p.total_mass - _STALL_WINDOW
+    last, n_top = up[-1][0], float(p.max_index)
 
     # The rows' running sum, Neumaier-compensated; every row is >= 0.
     entries: list[tuple[int, float]] = []
@@ -190,8 +193,12 @@ def thin_direct(p: Pmf, eta: float | AttenuationCoefficient) -> Pmf:
         total, before, value = t, value, t + carry
         if q_n >= _TINY:
             entries.append((n, q_n))
-        if value >= target or (value >= near and value == before):
+        if value >= target:
             break
+        if value == before and n >= last:
+            r = (n_top - n) / (n + 1) * ratio
+            if r < 1.0 and q_n * r <= _UNIT_ROUNDOFF * value * (1.0 - r):
+                break
     return _truncated(p, entries)
 
 

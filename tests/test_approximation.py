@@ -250,6 +250,10 @@ class TestRiskExact:
         with pytest.raises(AllVacuumError):
             risk_exact(make_pmf([(0, 1.0)]))
 
+    def test_any_mass_past_vacuum_is_accepted(self):
+        # 1e-16 at n = 1 is mass there, however light: P(n >= 2) is 0.
+        assert risk_exact(make_pmf([(0, 1 - 1e-16), (1, 1e-16)])) == 0.0
+
     @pytest.mark.parametrize("eta", [0.1, 0.3, 1e-5])
     def test_single_photon_source_has_no_risk(self, eta):
         # Thinning {1: 1} leaves rows 0 and 1 only, so both the risk and

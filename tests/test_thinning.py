@@ -159,23 +159,30 @@ class TestTruncation:
             assert abs(q.total_mass + q.tail_defect - p.total_mass) <= 1e-12
 
     # A light atom far beyond a heavy one, whose rows begin after many
-    # rows of almost zero mass: a stall window as wide as 4 eps log(N!)
-    # stopped in that gap and cut the far atom whole, 1e-9 or 3e-12 of
-    # mass, into the tail defect.
+    # rows that leave the running sum unchanged: the stop at such a row must
+    # not fire in that gap and cut the far atom whole into the tail defect.
+    # Nor may it fire once the terms merely fall (r < 1): in the last case
+    # the rows near the far atom's mode lie below the sum's resolution, and
+    # that stop cuts 9.9e-15.
     @pytest.mark.parametrize(
         ("entries", "eta"),
         [
             ([(10, 1 - 3e-12), (2000, 3e-12)], 0.3),
             ([(1, 1 - 3e-12), (2000, 3e-12)], 1e-2),
             ([(1, 1 - 1e-9), (2**20, 1e-9)], 1e-4),
+            ([(1, 1 - 2e-14), (2000, 2e-14)], 1e-2),
+            ([(1, 1 - 5e-15), (2000, 5e-15)], 1e-2),
+            ([(10, 1 - 2e-14), (2000, 2e-14)], 0.3),
+            ([(1, 1 - 2e-14), (2**16, 2e-14)], 0.5),
         ],
-        ids=["ten_and_2000", "one_and_2000", "one_and_2**20"],
+        ids=["ten_and_2000", "one_and_2000", "one_and_2**20", "one_and_2000_at_2e-14",
+             "one_and_2000_at_5e-15", "ten_and_2000_at_2e-14", "one_and_2**16_at_2e-14"],
     )
     def test_light_far_atom_is_not_cut(self, entries, eta):
         p = make_pmf(entries)
         direct = thin_direct(p, eta)
         assert direct.tail_defect <= 1e-15
-        assert tv_distance(direct, thin_via_gf(p, eta, 1000)) <= 1e-14
+        assert tv_distance(direct, thin_via_gf(p, eta, max(1000, direct.max_index))) <= 1e-14
 
     def test_defect_is_inherited_plus_cut(self):
         p = poisson_family(5.0, 1e-8)
