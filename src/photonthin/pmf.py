@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from array import array
+import sys
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, count, repeat
-from operator import sub
+from functools import cached_property, partial
+from itertools import accumulate, chain, repeat, takewhile
+from operator import le, mul, sub, truediv
 
 from .errors import (
     DuplicateIndexError,
@@ -45,11 +45,12 @@ _MAX_KERNEL_N = 2**20
 # Largest outcome of a report's per-outcome series unless asked otherwise.
 DEFAULT_N_REPORT = 10
 
-# log k! = math.lgamma(k + 1), shared by the whole process in chunks of
-# 2**_LOG_FACTORIAL_SHIFT values, chunk c holding k from c << shift; a chunk
-# is computed when a call first reads one of its k (see _log_factorial_chunk).
-_LOG_FACTORIAL_SHIFT = 10
-_LOG_FACTORIALS: dict[int, array] = {}
+# The mode-anchored walks (poisson_family, thinning.thin_direct) keep no term
+# below _TINY, sum a walk over its terms of at least _NEGLIGIBLE of the mode's,
+# and stop where a tail bound is at most _UNIT_ROUNDOFF of what it must resolve.
+_TINY = sys.float_info.min
+_NEGLIGIBLE = 2.0**-64
+_UNIT_ROUNDOFF = sys.float_info.epsilon / 2
 
 
 def _as_int(name: str, value: object) -> int:
@@ -121,37 +122,6 @@ def _as_eta(eta: float | AttenuationCoefficient) -> float:
     if isinstance(eta, AttenuationCoefficient):
         return eta.eta
     return _as_unit("attenuation coefficient", eta)
-
-
-def _log_factorial_chunk(c: int) -> array:
-    """log k! = math.lgamma(k + 1) for the k of chunk ``c``, computed once
-    per process. A chunk never changes once stored, so threads need no
-    lock: two that compute one chunk at once store and return equal values."""
-    chunk = _LOG_FACTORIALS.get(c)
-    if chunk is None:
-        k0 = c << _LOG_FACTORIAL_SHIFT
-        values = array("d", map(math.lgamma, range(k0 + 1, k0 + (1 << _LOG_FACTORIAL_SHIFT) + 1)))
-        chunk = _LOG_FACTORIALS.setdefault(c, values)
-    return chunk
-
-
-def _log_factorial(k: int) -> float:
-    """log k! = math.lgamma(k + 1), read from its chunk."""
-    return _log_factorial_chunk(k >> _LOG_FACTORIAL_SHIFT)[k & ((1 << _LOG_FACTORIAL_SHIFT) - 1)]
-
-
-def _log_factorials(start: int, stop: int) -> array:
-    """log k! for k from ``start`` through the end of the chunk that holds
-    ``stop`` - 1, as a new array: at least the ``stop`` - ``start`` values
-    asked for. Only the chunks holding those k are computed."""
-    if stop <= start:
-        return array("d")
-    shift = _LOG_FACTORIAL_SHIFT
-    first = start >> shift
-    window = _log_factorial_chunk(first)[start - (first << shift):]
-    for c in range(first + 1, ((stop - 1) >> shift) + 1):
-        window += _log_factorial_chunk(c)
-    return window
 
 
 def _check_kernel_bound(p: Pmf) -> None:
@@ -296,35 +266,36 @@ def poisson_family(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
     at most ``tail_eps``; the retained masses are NOT renormalized, and
     ``tail_defect`` is the sum of the terms dropped past n_max.
 
+    The terms are walked from 1 at the mode floor(mu), up by mu/(n + 1) and
+    down by n/mu until below the smallest normal float (rows below are 0.0),
+    each divided by the ``fsum`` of those at least 2**-64: no log-factorial.
+
     Args:
         mu: Poisson mean, must be positive and finite.
         tail_eps: largest acceptable discarded tail mass, in (0, 1e-6].
 
     Raises:
         InvalidParameterError: if ``mu`` or ``tail_eps`` is out of range,
-            or the table would reach past the kernel bound or stay above
-            ``tail_eps`` * 2**-53 up to it (mean 1e4, ``tail_eps`` 1e-300).
+            or the upward walk reaches past the kernel bound.
     """
     mu, tail_eps = _as_positive("poisson mean", mu), _as_tail_eps(tail_eps)
-    log_mu = math.log(mu)
-    hard_cap = int(mu + 20.0 * math.sqrt(mu + 1.0) + 400.0)
-    if hard_cap > _MAX_KERNEL_N:
+    if mu > _MAX_KERNEL_N:
         raise InvalidParameterError(f"poisson mean {mu!r} reaches past index {_MAX_KERNEL_N}")
-    # Past the mean, n > mu, each term is at most mu / (n + 1) times the
-    # one before, so the terms after n sum to at most m_n mu / (n + 1 - mu).
-    # The walk stops once that bound is below tail_eps * 2**-53: what it
-    # leaves unwalked cannot move any tail of at most tail_eps.
-    masses: list[float] = []
-    log_facts = chain.from_iterable(map(_log_factorial_chunk, count()))
-    for n, log_fact in zip(range(hard_cap + 1), log_facts):
-        mass = math.exp(-mu + n * log_mu - log_fact)
-        masses.append(mass)
-        if n > mu and mass * mu < tail_eps * 2.0**-53 * (n + 1 - mu):
-            break
-    else:
-        raise InvalidParameterError(
-            f"poisson mean {mu!r}: terms stay above tail_eps * 2**-53 up to index {hard_cap}"
-        )
+    # Past the mean, n > mu, each term is at most mu / (n + 1) times the one before,
+    # so the terms after n sum to at most t_n mu / (n + 1 - mu). Once that is at most
+    # tail_eps * 2**-53 of the mode's term 1 <= the sum, the rest cannot move the cut.
+    mode, floor = int(mu), tail_eps * _UNIT_ROUNDOFF
+    ups, t, n = [1.0], 1.0, mode
+    while n <= mu or t * mu > floor * (n + 1 - mu):
+        n += 1
+        t *= mu / n
+        ups.append(t)
+    if n > _MAX_KERNEL_N:
+        raise InvalidParameterError(f"poisson mean {mu!r}: the walk reaches past index {_MAX_KERNEL_N}")
+    downs = list(takewhile(partial(le, _TINY), accumulate(map(truediv, range(mode, 0, -1), repeat(mu)), mul)))
+    keep = partial(le, _NEGLIGIBLE)
+    total = math.fsum(chain(takewhile(keep, ups), takewhile(keep, downs)))
+    masses = [0.0] * (mode - len(downs)) + [t / total for t in chain(reversed(downs), ups)]
     # The cut is the sum of the dropped terms, added smallest first; one
     # minus the kept masses would sit under their rounding.
     tail = 0.0

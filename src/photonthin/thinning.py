@@ -11,7 +11,7 @@ property and the Monte Carlo oracle check both. Pure Python: no numpy.
 from __future__ import annotations
 
 import math
-import sys
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterator
 from functools import partial
@@ -20,8 +20,8 @@ from operator import add, le, mul, truediv
 
 from .errors import TargetExceedsMeanError
 from .pmf import (
-    AttenuationCoefficient, Pmf, _as_eta, _as_int_in, _as_positive, _check_kernel_bound,
-    _log_factorial, _log_factorials,
+    _NEGLIGIBLE, _TINY, _UNIT_ROUNDOFF, AttenuationCoefficient, Pmf, _as_eta, _as_int_in,
+    _as_positive, _check_kernel_bound,
 )
 
 # Output truncation: stop once the cumulative mass is within this of
@@ -29,23 +29,52 @@ from .pmf import (
 # the normalization invariant.
 _TRUNCATION_SLACK = 1e-15
 
-# thin_direct also stops at the first row that leaves its running sum
-# unchanged, once the rows past it hold at most float64's unit roundoff
-# times that sum by a bound it works out (see thin_direct): the rows'
-# rounding can leave the sum short of _TRUNCATION_SLACK for good.
-_UNIT_ROUNDOFF = sys.float_info.epsilon / 2
-
-# thin_direct starts no term below the smallest normal float; every
-# _PRUNE_EVERY rows it drops terms below it or below _PRUNE of their row's
-# largest (see _sweep), and it emits no row below it. It sums a mode's walk
-# to _NEGLIGIBLE.
-_TINY = sys.float_info.min
+# Every _PRUNE_EVERY rows thin_direct drops terms below _TINY or below _PRUNE
+# of their row's largest (see _sweep). It stops at a row that leaves its sum
+# unchanged once the rows past it are at most _UNIT_ROUNDOFF of it by a bound:
+# their rounding can leave the sum short of _TRUNCATION_SLACK for good.
 _PRUNE = 2.0**-70
 _PRUNE_EVERY = 16
-_NEGLIGIBLE = 2.0**-64
 
 # Terms per block of rows in thin_via_gf (see _gf_columns): bounds its memory.
 _GF_BLOCK_TERMS = 2**14
+
+# log k! = math.lgamma(k + 1), shared by the whole process in chunks of
+# 2**_LOG_FACTORIAL_SHIFT values, chunk c holding k from c << shift; a chunk
+# is computed when a call first reads one of its k (see _log_factorial_chunk).
+_LOG_FACTORIAL_SHIFT = 10
+_LOG_FACTORIALS: dict[int, array] = {}
+
+
+def _log_factorial_chunk(c: int) -> array:
+    """log k! = math.lgamma(k + 1) for the k of chunk ``c``, computed once
+    per process. A chunk never changes once stored, so threads need no
+    lock: two that compute one chunk at once store and return equal values."""
+    chunk = _LOG_FACTORIALS.get(c)
+    if chunk is None:
+        k0 = c << _LOG_FACTORIAL_SHIFT
+        values = array("d", map(math.lgamma, range(k0 + 1, k0 + (1 << _LOG_FACTORIAL_SHIFT) + 1)))
+        chunk = _LOG_FACTORIALS.setdefault(c, values)
+    return chunk
+
+
+def _log_factorial(k: int) -> float:
+    """log k! = math.lgamma(k + 1), read from its chunk."""
+    return _log_factorial_chunk(k >> _LOG_FACTORIAL_SHIFT)[k & ((1 << _LOG_FACTORIAL_SHIFT) - 1)]
+
+
+def _log_factorials(start: int, stop: int) -> array:
+    """log k! for k from ``start`` through the end of the chunk that holds
+    ``stop`` - 1, as a new array: at least the ``stop`` - ``start`` values
+    asked for. Only the chunks holding those k are computed."""
+    if stop <= start:
+        return array("d")
+    shift = _LOG_FACTORIAL_SHIFT
+    first = start >> shift
+    window = _log_factorial_chunk(first)[start - (first << shift):]
+    for c in range(first + 1, ((stop - 1) >> shift) + 1):
+        window += _log_factorial_chunk(c)
+    return window
 
 
 def _gf_columns(atoms: tuple[list[int], list[float], list[float]], rows: range,
@@ -56,7 +85,7 @@ def _gf_columns(atoms: tuple[list[int], list[float], list[float]], rows: range,
     max(_GF_BLOCK_TERMS, atoms) terms, each block as its first row and one
     column per atom N >= that row, ascending in N, over the block's rows up
     to N. A column reads its log (N - n)! from the process-wide table of
-    log k! (``pmf._log_factorials``), which computes a chunk of it only when
+    log k! (``_log_factorials``), which computes a chunk of it only when
     a call first reads it."""
     ns, lfs, consts = atoms
     exp, step = math.exp, max(1, _GF_BLOCK_TERMS // max(1, len(ns)))

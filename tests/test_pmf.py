@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -146,14 +147,23 @@ class TestPoissonFamily:
             _check_poisson_table(mu, eps)
 
     @pytest.mark.parametrize("eps", [1e-17, 1e-30, 1e-300])
-    @pytest.mark.parametrize("mu", [0.1, 5.0, 50.0])
+    @pytest.mark.parametrize("mu", [0.1, 5.0, 50.0, 1e4])
     def test_tail_eps_below_mass_rounding(self, mu, eps):
         _check_poisson_table(mu, eps)
 
-    def test_tail_eps_out_of_reach_raises(self):
-        # The terms of Poisson(1e4) stay above 1e-300 * 2**-53 up to hard_cap.
-        with pytest.raises(InvalidParameterError, match=r"tail_eps \* 2\*\*-53"):
-            poisson_family(1e4, 1e-300)
+    @pytest.mark.parametrize("mu", [1e4, 1e5, 1e6])
+    def test_large_means_against_mpmath(self, mu):
+        # A mass formed as exp(-mu + n log mu - log n!) carries the rounding
+        # of n log mu, about 3e-9 relative at mu = 1e6.
+        p = _check_poisson_table(mu, 1e-12)
+        assert abs(math.fsum(p.masses) + p.tail_defect - 1.0) <= 1e-12
+
+    def test_kernel_bound_is_where_the_walk_reaches(self):
+        assert poisson_family(1.03e6).max_index == 1_037_147
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameterError, match="walk reaches past index"):
+            poisson_family(1.0395e6)
+        assert time.perf_counter() - start < 1.0
 
 
 POISSON_GRIDS = {
@@ -163,19 +173,28 @@ POISSON_GRIDS = {
 
 
 def _check_poisson_table(mu, eps):
-    """poisson_family(mu, eps) against the closed form and mpmath's tail."""
+    """poisson_family(mu, eps), returned, against 30-digit mpmath: the masses
+    at rows 0, 1, the mode and the row past it, the last two, and 16 spaced
+    from 8 sd below the mean, within 1e-14 relative (under twice the smallest
+    normal float where the exact mass is under that float), and the cut."""
     p = poisson_family(mu, eps)
-    n_max = p.max_index
+    n_max, mode = p.max_index, int(mu)
     assert p.support == tuple(range(n_max + 1))
-    log_mu = math.log(mu)
-    for n, m in p.entries:
-        assert m == math.exp(-mu + n * log_mu - math.lgamma(n + 1)), (mu, n)
+    low = max(0, int(mu - 8.0 * math.sqrt(mu)))
+    rows = {0, 1, mode, mode + 1, n_max - 1, n_max, *range(low, n_max, max(1, (n_max - low) // 16))}
     with mpmath.workdps(30):
+        for n in sorted(n for n in rows if 0 <= n <= n_max):
+            exact = float(mpmath.exp(n * mpmath.log(mu) - mu - mpmath.loggamma(n + 1)))
+            if exact >= sys.float_info.min:
+                assert p.mass(n) == pytest.approx(exact, rel=1e-14, abs=0.0), (mu, n)
+            else:
+                assert p.mass(n) < 2.0 * sys.float_info.min, (mu, n)
         cut = float(mpmath.gammainc(n_max + 1, 0, mu, regularized=True))
     assert cut <= eps, mu
     assert p.tail_defect == pytest.approx(cut, rel=1e-10, abs=0.0), mu
     # One entry fewer would cut more than eps, so n_max is the smallest.
     assert p.masses[-1] + p.tail_defect > eps, mu
+    return p
 
 
 class TestMoments:

@@ -20,7 +20,7 @@ from photonthin import (
     thin_via_gf,
     tv_distance,
 )
-from photonthin import pmf, thinning
+from photonthin import thinning
 from photonthin.cli import wide_input
 
 EX3 = [(1, 0.95), (1001, 0.05)]
@@ -364,7 +364,7 @@ class TestGfColumns:
 def fresh_log_factorials(monkeypatch):
     """An empty process-wide log-factorial table for one test, the grown one
     restored after it."""
-    monkeypatch.setattr(pmf, "_LOG_FACTORIALS", {})
+    monkeypatch.setattr(thinning, "_LOG_FACTORIALS", {})
 
 
 @pytest.fixture
@@ -380,24 +380,24 @@ def lgamma_args(monkeypatch):
     return args
 
 
-CHUNK = 2**pmf._LOG_FACTORIAL_SHIFT
+CHUNK = 2**thinning._LOG_FACTORIAL_SHIFT
 
 
 @pytest.mark.usefixtures("fresh_log_factorials")
 class TestLogFactorialTable:
-    """The one table of log k! that thin_via_gf and poisson_family read."""
+    """The one table of log k!, which thin_via_gf reads."""
 
     def test_entries_are_lgamma_across_chunks(self):
         for start, stop, end in [(0, 10, CHUNK), (CHUNK - 3, 3 * CHUNK + 5, 4 * CHUNK), (5, 5, 5),
                                  (CHUNK, CHUNK + 1, 2 * CHUNK)]:
             # From start through the end of the chunk holding stop - 1.
-            window = pmf._log_factorials(start, stop)
+            window = thinning._log_factorials(start, stop)
             assert window.tobytes() == array("d", map(math.lgamma, range(start + 1, end + 1))).tobytes()
-        assert [pmf._log_factorial(k) for k in (0, 1, CHUNK - 1, CHUNK, 3 * CHUNK)] == [
+        assert [thinning._log_factorial(k) for k in (0, 1, CHUNK - 1, CHUNK, 3 * CHUNK)] == [
             math.lgamma(k + 1) for k in (0, 1, CHUNK - 1, CHUNK, 3 * CHUNK)]
-        first = pmf._log_factorial_chunk(1)
-        pmf._log_factorials(0, 4 * CHUNK)
-        assert pmf._log_factorial_chunk(1) is first  # a stored chunk is never replaced
+        first = thinning._log_factorial_chunk(1)
+        thinning._log_factorials(0, 4 * CHUNK)
+        assert thinning._log_factorial_chunk(1) is first  # a stored chunk is never replaced
 
     def test_second_call_makes_no_lgamma_call(self, lgamma_args):
         p = random_sparse_pmf(np.random.default_rng(3), max_index=2000, max_atoms=40)
@@ -422,22 +422,14 @@ class TestLogFactorialTable:
         # 2**20 - 60, not the million k between.
         p = make_pmf([(10, 0.5), (2**20, 0.5)])
         assert list(thin_via_gf(p, 1e-5, 60).entries) == gf_rows_rowwise(p, 1e-5, 60)
-        assert set(pmf._LOG_FACTORIALS) == {0, (2**20 - 60) // CHUNK, 2**20 // CHUNK}
+        assert set(thinning._LOG_FACTORIALS) == {0, (2**20 - 60) // CHUNK, 2**20 // CHUNK}
 
     def test_a_point_mass_at_the_kernel_bound_reads_near_its_mode(self):
         # Rows from the start 504 511 to 2**19 + 3000, columns log (N - n)!
         # from 2**20 - (2**19 + 3000) up, and log N! itself.
         thin_via_gf(make_pmf([(2**20, 1.0)]), 0.5, 2**19 + 3000)
         reads = set(range(504_511 // CHUNK, (2**20 - 504_511) // CHUNK + 1)) | {2**20 // CHUNK}
-        assert set(pmf._LOG_FACTORIALS) == reads
-
-    def test_poisson_family_computes_chunks_up_to_its_last_term(self):
-        # Its walk may run to mu + 20 sqrt(mu + 1) + 400, here 1200, but
-        # stops near 600, so the chunk from 1024 is not computed.
-        p = poisson_family(400.0)
-        assert p.max_index < CHUNK < int(400.0 + 20.0 * math.sqrt(401.0) + 400.0)
-        assert set(pmf._LOG_FACTORIALS) == {0}
-        assert p.mass(400) == math.exp(-400.0 + 400 * math.log(400.0) - math.lgamma(401))
+        assert set(thinning._LOG_FACTORIALS) == reads
 
     def test_threads_growing_at_once(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -447,7 +439,7 @@ class TestLogFactorialTable:
         try:
             sys.setswitchinterval(1e-6)
             for _ in range(3):
-                monkeypatch.setattr(pmf, "_LOG_FACTORIALS", {})
+                monkeypatch.setattr(thinning, "_LOG_FACTORIALS", {})
                 start, results = threading.Barrier(len(tables)), [None] * len(tables)
 
                 def run(i):
