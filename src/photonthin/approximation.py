@@ -11,7 +11,10 @@ faint pulsed sources.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub
 
 from .errors import AllVacuumError, DegenerateLambdaError
 from .pmf import (
@@ -78,36 +81,42 @@ def build_report(
     n_report = _as_int_in("n_report", n_report, 0, _MAX_KERNEL_N)
     ms = moments(p)
     q, ref, lam = thinned_reference(p, eta)
+    c, lam = _as_finite("c", ms.c), _as_positive("lambda", lam)
 
-    delta = tuple(q.mass(n) - ref.mass(n) for n in range(n_report + 1))
-    predicted = predicted_delta(ms.c, lam)
+    # Each table's masses by one dict lookup a row; absent rows read 0.0.
+    q_at, ref_at = q._lookup.get, ref._lookup.get
+    rows = range(n_report + 1)
+    delta = tuple(map(sub, map(q_at, rows, repeat(0.0)), map(ref_at, rows, repeat(0.0))))
     bound = (ms.d + 1.0) * lam**3
 
     lam3 = lam**3
-    quad = lam * lam / 2.0 + ms.c * lam * lam
-    q0, q1, q2 = q.mass(0), q.mass(1), q.mass(2)
+    quad = lam * lam / 2.0 + c * lam * lam
+    q0, q1, q2 = map(q_at, range(3), repeat(0.0))
     # The table's own mass, not 1: a lossy table's slack over lambda^3
     # would otherwise land in d0.
     d0 = (p.total_mass - lam + quad - q0) / lam3
-    d1 = (q1 - lam + lam * lam + 2.0 * ms.c * lam * lam) / lam3
+    d1 = (q1 - lam + lam * lam + 2.0 * c * lam * lam) / lam3
     d2 = (quad - q2) / lam3
 
     return ApproxReport(
         lam=lam,
         delta=delta,
-        predicted=predicted,
+        predicted=_predicted_delta(c, lam),
         bound=bound,
         residuals=(d0, d1, d2),
         tail3=_mass_from(q, 3),
         risk_exact=risk_exact(q),
-        risk_approx=risk_approx(ms.c, lam),
+        risk_approx=_risk_approx(c, lam),
     )
 
 
 def predicted_delta(c: float, lam: float) -> tuple[float, float, float]:
     """Leading quadratic deviations at n = 0, 1, 2: (l2c, -2*l2c, l2c), for a
     finite c and a positive, finite lam."""
-    c, lam = _as_finite("c", c), _as_positive("lambda", lam)
+    return _predicted_delta(_as_finite("c", c), _as_positive("lambda", lam))
+
+
+def _predicted_delta(c: float, lam: float) -> tuple[float, float, float]:
     l2c = lam * lam * c
     return (l2c, -2.0 * l2c, l2c)
 
@@ -128,8 +137,9 @@ def risk_exact(q: Pmf) -> float:
 
 
 def _mass_from(q: Pmf, k: int) -> float:
-    """Mass of the rows at n >= k, summed without cancellation."""
-    return math.fsum(m for n, m in q.entries if n >= k)
+    """Mass of the rows at n >= k, summed without cancellation: the ``fsum``
+    of the masses from the first row at or past k, found by ``bisect``."""
+    return math.fsum(q.masses[bisect_left(q.support, k):])
 
 
 def risk_approx(c: float, lam: float) -> float:
@@ -139,5 +149,8 @@ def risk_approx(c: float, lam: float) -> float:
     Not clamped: a value above one signals the approximation's breakdown
     regime and must stay visible.
     """
-    c, lam = _as_finite("c", c), _as_positive("lambda", lam)
+    return _risk_approx(_as_finite("c", c), _as_positive("lambda", lam))
+
+
+def _risk_approx(c: float, lam: float) -> float:
     return (0.5 + c) * lam

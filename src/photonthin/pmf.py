@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain, repeat, takewhile
@@ -267,8 +268,10 @@ def poisson_family(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
     ``tail_defect`` is the sum of the terms dropped past n_max.
 
     The terms are walked from 1 at the mode floor(mu), up by mu/(n + 1) and
-    down by n/mu until below the smallest normal float (rows below are 0.0),
-    each divided by the ``fsum`` of those at least 2**-64: no log-factorial.
+    down by n/mu until below the smallest normal float, each divided by the
+    ``fsum`` of those at least 2**-64: no log-factorial. The table starts at
+    its first mass of at least the smallest normal float; rows below it are
+    not stored and read 0.0.
 
     Args:
         mu: Poisson mean, must be positive and finite.
@@ -295,13 +298,16 @@ def poisson_family(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
     downs = list(takewhile(partial(le, _TINY), accumulate(map(truediv, range(mode, 0, -1), repeat(mu)), mul)))
     keep = partial(le, _NEGLIGIBLE)
     total = math.fsum(chain(takewhile(keep, ups), takewhile(keep, downs)))
-    masses = [0.0] * (mode - len(downs)) + [t / total for t in chain(reversed(downs), ups)]
+    # The masses below the mode ascend, so the table starts at the first normal one.
+    lows = [t / total for t in reversed(downs)]
+    first = bisect_left(lows, _TINY)
+    masses = lows[first:] + [t / total for t in ups]
     # The cut is the sum of the dropped terms, added smallest first; one
     # minus the kept masses would sit under their rounding.
     tail = 0.0
     while tail + masses[-1] <= tail_eps:
         tail += masses.pop()
-    return Pmf(tuple(enumerate(masses)), tail_defect=tail)
+    return Pmf(tuple(enumerate(masses, mode - len(downs) + first)), tail_defect=tail)
 
 
 def moments(p: Pmf) -> MomentSummary:

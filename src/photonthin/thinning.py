@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from functools import partial
 from itertools import accumulate, chain, islice, repeat, takewhile, zip_longest
-from operator import add, le, mul, truediv
+from operator import le, mul, truediv
 
 from .errors import TargetExceedsMeanError
 from .pmf import (
@@ -30,7 +30,7 @@ from .pmf import (
 _TRUNCATION_SLACK = 1e-15
 
 # Every _PRUNE_EVERY rows thin_direct drops terms below _TINY or below _PRUNE
-# of their row's largest (see _sweep). It stops at a row that leaves its sum
+# of their row's largest (see _pruned). It stops at a row that leaves its sum
 # unchanged once the rows past it are at most _UNIT_ROUNDOFF of it by a bound:
 # their rounding can leave the sum short of _TRUNCATION_SLACK for good.
 _PRUNE = 2.0**-70
@@ -130,37 +130,41 @@ def _mode_share(big_n: int, mode: int, eta: float) -> float:
     return 1.0 / math.fsum(chain((1.0,), *(takewhile(partial(le, _NEGLIGIBLE), h) for h in halves)))
 
 
-def _sweep(starts: list[tuple[int, float, float]], ratio: float, step: float) -> Iterator[float]:
-    """fsum of each row's terms, row after row from the first start's row.
-    Atom N joins at the row of its (row, N, term) in ``starts``. Each row
-    steps every term by (N-n)/(n+1) * ratio upward (step 1) or by
-    n/(N-n+1) * ratio downward (step -1); the row index is a float, so
-    that each step is float arithmetic only. A term is dropped for good
-    below _TINY, or below _PRUNE times the row's largest term while its
-    atom lies behind that term's in the sweep's direction: their ratio
-    only shrinks from then on. Both are checked every _PRUNE_EVERY rows."""
+def _pruned(terms: list[float], atoms: list[float], up: bool) -> tuple[list[float], list[float]]:
+    """``terms`` and ``atoms`` less each term below _TINY, or below _PRUNE
+    times the largest while its atom lies behind that term's in the walk's
+    direction (their ratio only shrinks); as they are if no term goes."""
+    top = max(terms)
+    cut = top * _PRUNE
+    if min(terms) >= max(cut, _TINY):
+        return terms, atoms
+    lead = atoms[terms.index(top)]
+    kept = [(t, a) for t, a in zip(terms, atoms) if t >= _TINY and (t >= cut or (a > lead if up else a < lead))]
+    return [list(col) for col in zip(*kept)] if kept else ([], [])
+
+
+def _sweep(starts: list[tuple[int, float, float]], ratio: float) -> Iterator[float]:
+    """fsum of each row's terms, from the first start's row down to row 0:
+    the rows below the mode of the atoms that start there. Atom N joins at
+    the row of its (row, N, term) in ``starts``, sorted descending. Each row
+    steps every term by n/(N-n+1) * ratio, the row index a float so that each
+    step is float arithmetic only, and prunes (:func:`_pruned`) every
+    _PRUNE_EVERY rows."""
     terms, atoms, k, n = [], [], 0, float(starts[0][0])
     while (k < len(starts) or terms) and n >= 0.0:
         if not terms:
-            yield from repeat(0.0, int(abs(starts[k][0] - n)))
+            yield from repeat(0.0, int(n - starts[k][0]))
             n = float(starts[k][0])
         while k < len(starts) and starts[k][0] == n:
             atoms.append(starts[k][1])
             terms.append(starts[k][2])
             k += 1
         yield math.fsum(terms)
-        if step > 0.0:
-            c = ratio / (n + 1.0)
-            terms = [t * ((a - n) * c) for t, a in zip(terms, atoms)]
-        else:
-            c = n * ratio
-            terms = [t * (c / (a - n + 1.0)) for t, a in zip(terms, atoms)]
-        n += step
+        c = n * ratio
+        terms = [t * (c / (a - n + 1.0)) for t, a in zip(terms, atoms)]
+        n -= 1.0
         if n % _PRUNE_EVERY == 1.0 and terms:
-            top = max(terms)
-            cut, lead = top * _PRUNE, atoms[terms.index(top)] * step
-            kept = [(t, a) for t, a in zip(terms, atoms) if t >= _TINY and (t >= cut or a * step > lead)]
-            terms, atoms = [list(col) for col in zip(*kept)] if kept else ([], [])
+            terms, atoms = _pruned(terms, atoms, False)
 
 
 def thin_direct(p: Pmf, eta: float | AttenuationCoefficient) -> Pmf:
@@ -168,18 +172,20 @@ def thin_direct(p: Pmf, eta: float | AttenuationCoefficient) -> Pmf:
     probability eta of passing the attenuator.
 
     Output mass at n is sum over N >= n of binom(N, n) eta^n (1-eta)^(N-n)
-    times the input mass m at N, each row an ``fsum`` (:func:`_sweep`).
-    An atom starts at row 0 with m (1-eta)^N where that is a normal float,
-    else at its mode (:func:`_mode_share`), walked down and up. Rows are
-    cut once their mass reaches the input's total less 1e-15, or at the
-    first row that leaves the sum unchanged where a bound on the rows past
-    it is at most 2**-53 of the sum. The bound holds once every atom has
-    started: from row n on, each term of atom N is at most
-    r = (N_max - n)/(n + 1) * eta/(1 - eta) times the one before, N_max
-    the input's largest index, and r only shrinks, so for r < 1 the rows
-    past n hold at most q_n r / (1 - r). A row below the smallest normal
-    float is not emitted. The cut joins the inherited tail defect. eta 0
-    and 1 are exact."""
+    times the input mass m at N. An atom starts at row 0 with m (1-eta)^N
+    where that is a normal float, else at its mode (:func:`_mode_share`),
+    with its rows below from :func:`_sweep`. One loop walks the rows up: a
+    row joins the atoms that start there, is the ``fsum`` of its terms plus
+    its lower row, and steps each term by (N-n)/(n+1) * eta/(1-eta); a row
+    with neither is skipped. Rows are cut once their mass reaches the
+    input's total less 1e-15, or at the first row that leaves the sum
+    unchanged where a bound on the rows past it is at most 2**-53 of the
+    sum. The bound holds once every atom has started: from row n on, each
+    term of atom N is at most r = (N_max - n)/(n + 1) * eta/(1 - eta) times
+    the one before, N_max the input's largest index, and r only shrinks, so
+    for r < 1 the rows past n hold at most q_n r / (1 - r). A row below the
+    smallest normal float is not emitted. The cut joins the inherited tail
+    defect. eta 0 and 1 are exact."""
     eta = _as_eta(eta)
     if eta == 0.0:
         return Pmf(((0, p.total_mass),), tail_defect=p.tail_defect)
@@ -190,12 +196,14 @@ def thin_direct(p: Pmf, eta: float | AttenuationCoefficient) -> Pmf:
     # (1 - eta)^N = keep^N (1 + lost/keep)^N, with lost the exact rounding of keep.
     keep, ratio = 1.0 - eta, eta / (1.0 - eta)
     log_fix = math.log1p(((1.0 - keep) - eta) / keep)
-    up, down = [], []
+    # Row-0 atoms join the walk's terms now, the others as (row, N, term) in up.
+    terms, atoms, up, down = [], [], [], []
     for big_n, m in p.entries:
         keep_n = keep**big_n
         b = m * keep_n * math.exp(big_n * log_fix) if keep_n >= _TINY else 0.0
         if b >= _TINY:
-            up.append((0, float(big_n), b))
+            atoms.append(float(big_n))
+            terms.append(b)
         elif m >= _TINY:
             mode = min(big_n, int((big_n + 1) * eta))
             b = m * _mode_share(big_n, mode, eta)
@@ -203,20 +211,26 @@ def thin_direct(p: Pmf, eta: float | AttenuationCoefficient) -> Pmf:
                 down.append((mode, float(big_n), b))
                 up.append((mode + 1, float(big_n), b * (big_n - mode) / (mode + 1) * ratio))
     down.sort(reverse=True)
-    lower = list(_sweep(down, (1.0 - eta) / eta, -1.0))[::-1] if down else []
+    lower = list(_sweep(down, (1.0 - eta) / eta))[::-1] if down else []
     low = down[0][0] + 1 - len(lower) if down else 0
-    up.append((low, 0.0, 0.0))  # a zero term, so the upward rows start at the lowest row
+    high = low + len(lower)  # the lower rows are low..high - 1
     up.sort()
-    rows = _sweep(up, ratio, 1.0)
-    if lower:
-        rows = map(add, rows, chain(repeat(0.0, low - up[0][0]), lower, repeat(0.0)))
-    target = p.total_mass - _TRUNCATION_SLACK
-    last, n_top = up[-1][0], float(p.max_index)
+    k, start, last = 0, up[0][0] if up else -1, up[-1][0] if up else low
+    n = min(low, start) if up and not terms else 0
+    target, n_top = p.total_mass - _TRUNCATION_SLACK, float(p.max_index)
 
     # The rows' running sum, Neumaier-compensated; every row is >= 0.
     entries: list[tuple[int, float]] = []
     value = total = carry = 0.0
-    for n, q_n in enumerate(rows, start=up[0][0]):
+    while True:
+        if n == start:  # the atoms that start at row n join
+            j = bisect_right(up, (n, math.inf))
+            atoms += [a for _, a, _ in up[k:j]]
+            terms += [b for _, _, b in up[k:j]]
+            k, start = j, up[j][0] if j < len(up) else -1
+        q_n = math.fsum(terms)
+        if low <= n < high:
+            q_n += lower[n - low]
         t = total + q_n
         carry += (total - t) + q_n if total >= q_n else (q_n - t) + total
         total, before, value = t, value, t + carry
@@ -228,6 +242,16 @@ def thin_direct(p: Pmf, eta: float | AttenuationCoefficient) -> Pmf:
             r = (n_top - n) / (n + 1) * ratio
             if r < 1.0 and q_n * r <= _UNIT_ROUNDOFF * value * (1.0 - r):
                 break
+        x = float(n)
+        c = ratio / (x + 1.0)
+        terms = [t * ((a - x) * c) for t, a in zip(terms, atoms)]
+        n += 1
+        if n % _PRUNE_EVERY == 1 and terms:
+            terms, atoms = _pruned(terms, atoms, True)
+        if not (terms or low <= n < high):  # on to the next row with a term or a lower row
+            if start < 0:
+                break
+            n = min(start, low) if n < low else start
     return _truncated(p, entries)
 
 

@@ -18,10 +18,14 @@ METRICS = {
 }
 
 
+# Calls attempted per run, parent then change.
+ATTEMPTED = (1000, 1150)
+
+
 def write_record(records: Path, side: str, position: int, failed: int = 0) -> None:
     record = {
         "workload": "faint_report", "seed": 71, "seconds": 18.0, "side": side,
-        "position": position, "attempted": 1000, "failed": failed,
+        "position": position, "attempted": ATTEMPTED[side == "change"], "failed": failed,
         # Import times differ run to run; summary leaves them out of the machine block.
         "machine": {**MACHINE, "importtime_us": {"photonthin": position}},
         "metrics": {name: values[side == "change"] for name, values in METRICS.items()},
@@ -51,6 +55,10 @@ def test_summary_medians_and_pairs_won(tmp_path):
     assert entry["first"] == ["parent"]
     assert entry["seconds"] == 18.0
     assert set(entry["metrics"]) == set(METRICS)
+    assert entry["attempted"] == {
+        side: {"median": calls, "q1": calls, "q3": calls, "iqr": 0}
+        for side, calls in zip(("parent", "change"), ATTEMPTED)
+    }
     for name, (before, after) in METRICS.items():
         metric = entry["metrics"][name]
         assert metric["parent"] == {"median": before, "q1": before, "q3": before, "iqr": 0.0}

@@ -158,6 +158,17 @@ class TestPoissonFamily:
         p = _check_poisson_table(mu, 1e-12)
         assert abs(math.fsum(p.masses) + p.tail_defect - 1.0) <= 1e-12
 
+    # Rows below the first normal mass are not stored: at mu = 709 row 0
+    # (e**-709, below the smallest normal float) is the only one; at 1e6 the table holds
+    # 44 242 rows, not the 1 007 044 from row 0.
+    @pytest.mark.parametrize(("mu", "first", "rows"), [(708.0, 0, 904), (709.0, 1, 904),
+                                                      (1e4, 6493, 4219), (1e6, 962_802, 44_242)])
+    def test_table_starts_at_first_normal_mass(self, mu, first, rows):
+        p = poisson_family(mu)
+        assert (p.support[0], len(p.entries)) == (first, rows)
+        assert p.mass(first) >= sys.float_info.min
+        assert p.mass(first - 1) == 0.0
+
     def test_kernel_bound_is_where_the_walk_reaches(self):
         assert poisson_family(1.03e6).max_index == 1_037_147
         start = time.perf_counter()
@@ -174,14 +185,18 @@ POISSON_GRIDS = {
 
 def _check_poisson_table(mu, eps):
     """poisson_family(mu, eps), returned, against 30-digit mpmath: the masses
-    at rows 0, 1, the mode and the row past it, the last two, and 16 spaced
-    from 8 sd below the mean, within 1e-14 relative (under twice the smallest
-    normal float where the exact mass is under that float), and the cut."""
+    at rows 0, 1, the row below the first stored one, the mode and the row
+    past it, the last two, and 16 spaced from 8 sd below the mean, within
+    1e-14 relative (under twice the smallest normal float where the exact
+    mass is under that float), and the cut. The table runs without a gap
+    from its first stored row, and every stored mass is normal."""
     p = poisson_family(mu, eps)
-    n_max, mode = p.max_index, int(mu)
-    assert p.support == tuple(range(n_max + 1))
+    first, n_max, mode = p.support[0], p.max_index, int(mu)
+    assert p.support == tuple(range(first, n_max + 1))
+    assert min(p.masses) >= sys.float_info.min
     low = max(0, int(mu - 8.0 * math.sqrt(mu)))
-    rows = {0, 1, mode, mode + 1, n_max - 1, n_max, *range(low, n_max, max(1, (n_max - low) // 16))}
+    rows = {0, 1, first - 1, mode, mode + 1, n_max - 1, n_max,
+            *range(low, n_max, max(1, (n_max - low) // 16))}
     with mpmath.workdps(30):
         for n in sorted(n for n in rows if 0 <= n <= n_max):
             exact = float(mpmath.exp(n * mpmath.log(mu) - mu - mpmath.loggamma(n + 1)))

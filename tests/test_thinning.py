@@ -9,7 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import EX3_ETA, ex3_q0_closed_form, gf_rows_rowwise, random_sparse_pmf
+from helpers import (
+    EX3_ETA, direct_rows_rowwise, ex3_q0_closed_form, gf_rows_rowwise, random_sparse_pmf,
+)
 from photonthin import (
     InvalidParameterError,
     TargetExceedsMeanError,
@@ -26,6 +28,16 @@ from photonthin.cli import wide_input
 EX3 = [(1, 0.95), (1001, 0.05)]
 # ex3 as a lossy decimal table: its masses sum to 1 - 1e-10.
 EX3_LOSSY = [(1, 0.95), (1001, 0.0499999999)]
+# A heavy atom and a light one far beyond it, and the eta each is thinned by.
+LIGHT_FAR_ATOMS = {
+    "ten_and_2000": ([(10, 1 - 3e-12), (2000, 3e-12)], 0.3),
+    "one_and_2000": ([(1, 1 - 3e-12), (2000, 3e-12)], 1e-2),
+    "one_and_2**20": ([(1, 1 - 1e-9), (2**20, 1e-9)], 1e-4),
+    "one_and_2000_at_2e-14": ([(1, 1 - 2e-14), (2000, 2e-14)], 1e-2),
+    "one_and_2000_at_5e-15": ([(1, 1 - 5e-15), (2000, 5e-15)], 1e-2),
+    "ten_and_2000_at_2e-14": ([(10, 1 - 2e-14), (2000, 2e-14)], 0.3),
+    "one_and_2**16_at_2e-14": ([(1, 1 - 2e-14), (2**16, 2e-14)], 0.5),
+}
 
 
 class TestThinDirect:
@@ -164,20 +176,7 @@ class TestTruncation:
     # Nor may it fire once the terms merely fall (r < 1): in the last case
     # the rows near the far atom's mode lie below the sum's resolution, and
     # that stop cuts 9.9e-15.
-    @pytest.mark.parametrize(
-        ("entries", "eta"),
-        [
-            ([(10, 1 - 3e-12), (2000, 3e-12)], 0.3),
-            ([(1, 1 - 3e-12), (2000, 3e-12)], 1e-2),
-            ([(1, 1 - 1e-9), (2**20, 1e-9)], 1e-4),
-            ([(1, 1 - 2e-14), (2000, 2e-14)], 1e-2),
-            ([(1, 1 - 5e-15), (2000, 5e-15)], 1e-2),
-            ([(10, 1 - 2e-14), (2000, 2e-14)], 0.3),
-            ([(1, 1 - 2e-14), (2**16, 2e-14)], 0.5),
-        ],
-        ids=["ten_and_2000", "one_and_2000", "one_and_2**20", "one_and_2000_at_2e-14",
-             "one_and_2000_at_5e-15", "ten_and_2000_at_2e-14", "one_and_2**16_at_2e-14"],
-    )
+    @pytest.mark.parametrize(("entries", "eta"), LIGHT_FAR_ATOMS.values(), ids=LIGHT_FAR_ATOMS.keys())
     def test_light_far_atom_is_not_cut(self, entries, eta):
         p = make_pmf(entries)
         direct = thin_direct(p, eta)
@@ -189,6 +188,33 @@ class TestTruncation:
         q = thin_direct(p, 0.3)
         assert p.tail_defect <= q.tail_defect <= p.tail_defect + 1e-14
         assert q.total_mass + q.tail_defect == pytest.approx(1.0, abs=1e-14)
+
+
+class TestDirectRowwise:
+    """thin_direct's one upward loop against the generator-form rows it
+    replaced (helpers.direct_rows_rowwise), bit for bit: mode starts, rows
+    with no term, pruning and both stops included."""
+
+    @staticmethod
+    def _check(p, eta):
+        q = thin_direct(p, eta)
+        assert (list(q.entries), q.tail_defect) == direct_rows_rowwise(p, eta)
+
+    @pytest.mark.parametrize("eta", [1e-4, 1e-2, 0.1, 0.5, 0.9])
+    def test_seeded_tables(self, eta):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            self._check(random_sparse_pmf(rng, max_index=2000, max_atoms=40), eta)
+
+    @pytest.mark.parametrize(("entries", "eta"), LIGHT_FAR_ATOMS.values(), ids=LIGHT_FAR_ATOMS.keys())
+    def test_light_far_atoms(self, entries, eta):
+        self._check(make_pmf(entries), eta)
+
+    def test_lossy_table(self):
+        self._check(make_pmf(EX3_LOSSY), EX3_ETA)
+
+    def test_wide_input(self):
+        self._check(wide_input(), 0.1)
 
 
 class TestThinViaGf:

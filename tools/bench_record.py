@@ -10,8 +10,10 @@ writes its record to ``.perfbench_out/results/`` of its checkout, where the
 next run of the same seed overwrites it, so each record is copied into
 ``--records`` after its run, tagged with its side and position in the pair.
 ``summary`` gives, per workload and side, the median and quartiles of every
-end-to-end metric that BENCHMARK.json declares, the pairs the change won,
-the seeds, ``--seconds``, the side order and one machine block.
+end-to-end metric that BENCHMARK.json declares and of the calls attempted
+(a run keeps a record per call, so its peak RSS grows with them), the pairs
+the change won, the seeds, ``--seconds``, the side order and one machine
+block.
 """
 
 from __future__ import annotations
@@ -57,14 +59,15 @@ def summary(args: argparse.Namespace) -> None:
     machine = None
     for (workload, seed), sides in sorted(runs.items()):
         parent, change = sides["parent"], sides["change"]
-        entry = workloads.setdefault(workload, {"seconds": parent["seconds"], "seeds": [],
-                                                "first": [], "parent": [], "change": []})
+        entry = workloads.setdefault(workload, {"seconds": parent["seconds"], "seeds": [], "first": [],
+                                                "parent": [], "change": [], "attempted": {}})
         entry["seeds"].append(seed)
         entry["first"].append("parent" if parent["position"] == 0 else "change")
         for side, record in (("parent", parent), ("change", change)):
             if record["failed"] or not record["attempted"]:
                 raise SystemExit(f"{side} {workload} seed {seed} failed checks or ran none")
             entry[side].append(record["metrics"])
+            entry["attempted"].setdefault(side, []).append(record["attempted"])
             block = {k: v for k, v in record["machine"].items() if k != "importtime_us"}
             if machine not in (None, block):
                 raise SystemExit("records from more than one machine")
@@ -72,6 +75,7 @@ def summary(args: argparse.Namespace) -> None:
     for entry in workloads.values():
         parent, change = entry.pop("parent"), entry.pop("change")
         entry["pairs"] = len(entry["seeds"])
+        entry["attempted"] = {side: _spread(calls) for side, calls in entry["attempted"].items()}
         entry["metrics"] = {}
         for metric in declared:
             name, lower = metric["name"], metric["better"] == "lower"
