@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain, repeat, takewhile
-from operator import le, mul, sub, truediv
+from operator import itemgetter, le, mul, sub, truediv
 
 from .errors import (
     DuplicateIndexError,
@@ -125,6 +125,12 @@ def _as_eta(eta: float | AttenuationCoefficient) -> float:
     return _as_unit("attenuation coefficient", eta)
 
 
+def _check_normalized(total: float) -> None:
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise NotNormalizedError(f"masses plus tail defect sum to {total!r}, "
+                                 f"expected 1 within {NORMALIZATION_TOL}")
+
+
 def _check_kernel_bound(p: Pmf) -> None:
     if p.max_index > _MAX_KERNEL_N:
         raise InvalidParameterError(f"outcome index {p.max_index} exceeds {_MAX_KERNEL_N}")
@@ -189,12 +195,24 @@ class Pmf:
         if tail_defect < 0.0 or not math.isfinite(tail_defect):
             raise InvalidParameterError(f"tail defect {tail_defect!r} must be >= 0")
         object.__setattr__(self, "tail_defect", tail_defect)
-        total = math.fsum(m for _, m in self.entries) + tail_defect
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise NotNormalizedError(
-                f"masses plus tail defect sum to {total!r}, expected 1 within "
-                f"{NORMALIZATION_TOL}"
-            )
+        _check_normalized(math.fsum(m for _, m in self.entries) + tail_defect)
+
+    @classmethod
+    def _from_kernel(cls, entries: tuple[tuple[int, float], ...], masses: tuple[float, ...],
+                     total: float, tail_defect: float) -> Pmf:
+        """A kernel's table: ``masses`` are the entries' masses, ``total`` their
+        fsum. It checks only ``total`` plus ``tail_defect`` against 1 and fills
+        the cached ``support``, ``masses``, ``total_mass`` and ``_lookup`` now.
+        In place of the per-entry checks its callers, ``poisson_family``,
+        ``thin_direct`` and ``thin_via_gf``, guarantee (int, float) tuples in a
+        tuple, indices ascending, masses finite and >= 0 (``thin_via_gf``'s may
+        be subnormal), and a float defect >= 0."""
+        _check_normalized(total + tail_defect)
+        p = object.__new__(cls)
+        # cached_property reads the instance __dict__ first, locked (< 3.12) or not.
+        p.__dict__.update(entries=entries, tail_defect=tail_defect, masses=masses, total_mass=total,
+                          support=tuple(map(itemgetter(0), entries)), _lookup=dict(entries))
+        return p
 
     @cached_property
     def _lookup(self) -> dict[int, float]:
@@ -271,7 +289,10 @@ def poisson_family(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
     down by n/mu until below the smallest normal float, each divided by the
     ``fsum`` of those at least 2**-64: no log-factorial. The table starts at
     its first mass of at least the smallest normal float; rows below it are
-    not stored and read 0.0.
+    not stored and read 0.0. It ends likewise: the trailing masses below the
+    smallest normal float go to ``tail_defect`` before any other, so for a
+    ``tail_eps`` below that float the defect can exceed ``tail_eps`` by the
+    mass they hold.
 
     Args:
         mu: Poisson mean, must be positive and finite.
@@ -303,11 +324,14 @@ def poisson_family(mu: float, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
     first = bisect_left(lows, _TINY)
     masses = lows[first:] + [t / total for t in ups]
     # The cut is the sum of the dropped terms, added smallest first; one
-    # minus the kept masses would sit under their rounding.
+    # minus the kept masses would sit under their rounding. Masses below the
+    # smallest normal float are dropped whatever tail_eps.
     tail = 0.0
-    while tail + masses[-1] <= tail_eps:
+    while masses[-1] < _TINY or tail + masses[-1] <= tail_eps:
         tail += masses.pop()
-    return Pmf(tuple(enumerate(masses, mode - len(downs) + first)), tail_defect=tail)
+    masses = tuple(masses)
+    return Pmf._from_kernel(tuple(enumerate(masses, mode - len(downs) + first)), masses,
+                            math.fsum(masses), tail)
 
 
 def moments(p: Pmf) -> MomentSummary:

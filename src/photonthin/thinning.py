@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from functools import partial
 from itertools import accumulate, chain, islice, repeat, takewhile, zip_longest
-from operator import le, mul, truediv
+from operator import itemgetter, le, mul, truediv
 
 from .errors import TargetExceedsMeanError
 from .pmf import (
@@ -115,8 +115,9 @@ def _truncated(p: Pmf, entries: list[tuple[int, float]]) -> Pmf:
     The cut is measured against the input's own total mass, so ingestion
     slack of a lossy table is never reported as truncation.
     """
-    cut = max(0.0, p.total_mass - math.fsum(m for _, m in entries))
-    return Pmf(tuple(entries), tail_defect=p.tail_defect + cut)
+    masses = tuple(map(itemgetter(1), entries))
+    total = math.fsum(masses)
+    return Pmf._from_kernel(tuple(entries), masses, total, p.tail_defect + max(0.0, p.total_mass - total))
 
 
 def _mode_share(big_n: int, mode: int, eta: float) -> float:

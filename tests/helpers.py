@@ -142,6 +142,19 @@ def direct_rows_rowwise(p: Pmf, eta: float) -> tuple[list[tuple[int, float]], fl
     return entries, p.tail_defect + cut
 
 
+def check_kernel_table(q: Pmf) -> None:
+    """A kernel's output, built by ``Pmf._from_kernel``, against the public
+    constructor, which checks every entry: it equals its public rebuild, its
+    entries are (int, float) tuples in a tuple, and each cache filled at
+    construction equals the rebuild's, computed when read."""
+    public = Pmf(q.entries, q.tail_defect)
+    assert public == q
+    assert type(q.entries) is tuple and type(q.tail_defect) is float
+    assert all(type(e) is tuple and type(e[0]) is int and type(e[1]) is float for e in q.entries)
+    filled = {name: q.__dict__[name] for name in ("support", "masses", "total_mass", "_lookup")}
+    assert filled == {name: getattr(public, name) for name in filled}
+
+
 @dataclass(frozen=True)
 class CliResult:
     exit_code: int

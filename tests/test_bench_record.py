@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
 MACHINE = {"nproc": 2, "python": "3.11.7"}
 # The five end-to-end metrics BENCHMARK.json declares, parent then change:
@@ -22,15 +24,17 @@ METRICS = {
 ATTEMPTED = (1000, 1150)
 
 
-def write_record(records: Path, side: str, position: int, failed: int = 0) -> None:
+def write_record(records: Path, side: str, position: int, failed: int = 0, seed: int = 71,
+                 scale: float = 1.0) -> None:
+    """One run's record; ``scale`` multiplies its metrics."""
     record = {
-        "workload": "faint_report", "seed": 71, "seconds": 18.0, "side": side,
+        "workload": "faint_report", "seed": seed, "seconds": 18.0, "side": side,
         "position": position, "attempted": ATTEMPTED[side == "change"], "failed": failed,
         # Import times differ run to run; summary leaves them out of the machine block.
         "machine": {**MACHINE, "importtime_us": {"photonthin": position}},
-        "metrics": {name: values[side == "change"] for name, values in METRICS.items()},
+        "metrics": {name: values[side == "change"] * scale for name, values in METRICS.items()},
     }
-    (records / f"{side}_faint_report_seed71_trace0.json").write_text(json.dumps(record))
+    (records / f"{side}_faint_report_seed{seed}_trace0.json").write_text(json.dumps(record))
 
 
 def summary(tmp_path: Path) -> subprocess.CompletedProcess:
@@ -64,6 +68,24 @@ def test_summary_medians_and_pairs_won(tmp_path):
         assert metric["parent"] == {"median": before, "q1": before, "q3": before, "iqr": 0.0}
         assert metric["change"] == {"median": after, "q1": after, "q3": after, "iqr": 0.0}
         assert metric["change_won_pairs"] == int(name in ("call_p50_s", "calls_per_s"))
+        assert metric["median_pair_change"] == after / before - 1.0
+
+
+def test_summary_median_pair_change(tmp_path):
+    # Three pairs whose change runs are 2, 1 and 1.1 times their parent runs
+    # (on top of METRICS' ratio): the median pair change is 1.1 times it,
+    # while the medians of the two sides stand in METRICS' ratio.
+    records = tmp_path / "records"
+    records.mkdir()
+    for seed, parent, change in ((71, 1.0, 2.0), (72, 2.0, 2.0), (73, 4.0, 4.4)):
+        write_record(records, "parent", 0, seed=seed, scale=parent)
+        write_record(records, "change", 1, seed=seed, scale=change)
+    assert summary(tmp_path).returncode == 0
+    metrics = json.loads((tmp_path / "bench.json").read_text())["workloads"]["faint_report"]["metrics"]
+    for name, (before, after) in METRICS.items():
+        metric = metrics[name]
+        assert metric["change"]["median"] / metric["parent"]["median"] == pytest.approx(after / before)
+        assert metric["median_pair_change"] == pytest.approx(1.1 * after / before - 1.0, rel=1e-12)
 
 
 def test_summary_refuses_a_record_with_failed_checks(tmp_path):

@@ -5,6 +5,7 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import EX3_ETA, ex3_q0_closed_form, random_sparse_pmf
+import photonthin
+from helpers import EX3_ETA, check_kernel_table, ex3_q0_closed_form, random_sparse_pmf
 from photonthin import (
     AttenuationCoefficient,
     DuplicateIndexError,
@@ -86,6 +88,22 @@ class TestMakePmf:
         p = make_pmf(pairs)
         assert all(m >= 0.0 for m in p.masses)
         assert abs(math.fsum(p.masses) + p.tail_defect - 1.0) <= 1e-9
+
+
+class TestKernelConstructor:
+    def test_checks_the_total_it_is_handed(self):
+        assert Pmf._from_kernel(((0, 0.5), (3, 0.5)), (0.5, 0.5), 1.0, 0.0) == make_pmf([(0, 0.5), (3, 0.5)])
+        with pytest.raises(NotNormalizedError):
+            Pmf._from_kernel(((0, 0.5), (3, 0.5)), (0.5, 0.5), 1.0, 1e-3)
+        with pytest.raises(NotNormalizedError):
+            Pmf._from_kernel(((0, 0.5),), (0.5,), 0.5, 0.0)
+
+    def test_called_only_by_the_kernels(self):
+        # It skips the per-entry checks: only pmf.py and thinning.py, whose
+        # kernels guarantee what those checks test, may build through it.
+        src = Path(photonthin.__file__).parent
+        callers = {path.name for path in src.rglob("*.py") if "_from_kernel" in path.read_text()}
+        assert callers == {"pmf.py", "thinning.py"}
 
 
 class TestAttenuationCoefficient:
@@ -168,6 +186,25 @@ class TestPoissonFamily:
         assert (p.support[0], len(p.entries)) == (first, rows)
         assert p.mass(first) >= sys.float_info.min
         assert p.mass(first - 1) == 0.0
+
+    # Past the mean, the masses below the smallest normal float go to the
+    # defect first, so at a tail_eps below that float the defect exceeds
+    # tail_eps by what they hold.
+    @pytest.mark.parametrize(("mu", "eps"), [(50.0, 5e-324), (5.0, 1e-310), (1e4, 1e-320)])
+    def test_table_ends_at_last_normal_mass(self, mu, eps):
+        p = poisson_family(mu, eps)
+        assert min(p.masses) >= sys.float_info.min
+        with mpmath.workdps(30):
+            cut = float(mpmath.gammainc(p.max_index + 1, 0, mu, regularized=True))
+        assert p.tail_defect > eps
+        assert p.tail_defect == pytest.approx(cut, rel=1e-10, abs=0.0)
+
+    # At tail_eps 5e-324 the upward walk runs until its terms reach 0.0,
+    # which at mu = 1e6 lies past the kernel bound.
+    @pytest.mark.parametrize(("eps", "top"), [(1e-12, 1e6), (1e-300, 1e6), (5e-324, 3e5)])
+    def test_tables_pass_the_public_checks(self, eps, top):
+        for mu in np.geomspace(0.1, top, 15).tolist() + [708.0, 709.0]:
+            check_kernel_table(poisson_family(mu, eps))
 
     def test_kernel_bound_is_where_the_walk_reaches(self):
         assert poisson_family(1.03e6).max_index == 1_037_147

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    EX3_ETA, direct_rows_rowwise, ex3_q0_closed_form, gf_rows_rowwise, random_sparse_pmf,
+    EX3_ETA, check_kernel_table, direct_rows_rowwise, ex3_q0_closed_form, gf_rows_rowwise,
+    random_sparse_pmf,
 )
 from photonthin import (
     InvalidParameterError,
@@ -199,6 +200,7 @@ class TestDirectRowwise:
     def _check(p, eta):
         q = thin_direct(p, eta)
         assert (list(q.entries), q.tail_defect) == direct_rows_rowwise(p, eta)
+        check_kernel_table(q)
 
     @pytest.mark.parametrize("eta", [1e-4, 1e-2, 0.1, 0.5, 0.9])
     def test_seeded_tables(self, eta):
@@ -215,6 +217,37 @@ class TestDirectRowwise:
 
     def test_wide_input(self):
         self._check(wide_input(), 0.1)
+
+
+class TestKernelTables:
+    """Both routes' tables, built without the public constructor's
+    per-entry checks, pass those checks (helpers.check_kernel_table)."""
+
+    def test_criterion_01_tables(self):
+        rng = np.random.default_rng(20260811)
+        for _ in range(200):
+            p = random_sparse_pmf(rng, max_index=2000, max_atoms=40)
+            for eta in (1e-4, 1e-2, 0.1, 0.5, 0.9):
+                check_kernel_table(thin_direct(p, eta))
+
+    @pytest.mark.parametrize("eta", [1e-3, 0.1, 0.5, 0.9, 1.0])
+    def test_via_gf_seeded_tables(self, eta):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            p = random_sparse_pmf(rng, max_index=600, max_atoms=25)
+            check_kernel_table(thin_via_gf(p, eta, 40))
+            check_kernel_table(thin_via_gf(p, eta, p.max_index))
+
+    @pytest.mark.parametrize(("entries", "n_max"), [(EX3, 1001), (EX3, 500), (EX3_LOSSY, 0)])
+    def test_via_gf_at_eta_one(self, entries, n_max):
+        check_kernel_table(thin_via_gf(make_pmf(entries), 1.0, n_max))
+
+    def test_via_gf_subnormal_rows(self):
+        # Rows 0 to about 30 of a point mass at 1070 halved lie below the
+        # smallest normal float (row 0 is 2**-1070); the route emits them.
+        q = thin_via_gf(make_pmf([(1070, 1.0)]), 0.5, 1070)
+        assert 0.0 < q.mass(0) < sys.float_info.min
+        check_kernel_table(q)
 
 
 class TestThinViaGf:

@@ -11,9 +11,9 @@ next run of the same seed overwrites it, so each record is copied into
 ``--records`` after its run, tagged with its side and position in the pair.
 ``summary`` gives, per workload and side, the median and quartiles of every
 end-to-end metric that BENCHMARK.json declares and of the calls attempted
-(a run keeps a record per call, so its peak RSS grows with them), the pairs
-the change won, the seeds, ``--seconds``, the side order and one machine
-block.
+(a run keeps a record per call, so its peak RSS grows with them), the
+median over pairs of change / parent - 1, the pairs the change won, the
+seeds, ``--seconds``, the side order and one machine block.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ def summary(args: argparse.Namespace) -> None:
             won = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
             entry["metrics"][name] = {"unit": metric["unit"], "better": metric["better"],
                                       "parent": _spread(before), "change": _spread(after),
+                                      "median_pair_change": statistics.median(
+                                          a / b - 1.0 for b, a in zip(before, after)),
                                       "change_won_pairs": won}
     out = {"machine": machine, "workloads": workloads}
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
